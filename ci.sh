@@ -113,6 +113,7 @@ go test -run=NONE -bench='^Benchmark(ParkResume|MailboxSendRecv|ScheduleDrain)$'
 # Short fuzz passes over the attacker-facing decoders and the path walker.
 go test -run=NONE -fuzz='^FuzzDecodeCall$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzDecodeReply$' -fuzztime=10s ./internal/rpc
+go test -run=NONE -fuzz='^FuzzAcceptPeer$' -fuzztime=10s ./internal/rpc
 go test -run=NONE -fuzz='^FuzzResolvePath$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzDispatch$' -fuzztime=10s ./internal/vice
 go test -run=NONE -fuzz='^FuzzLocEntry$' -fuzztime=10s ./internal/proto

@@ -9,10 +9,26 @@ import (
 	"itcfs/internal/wire"
 )
 
+// callPlain and replyPlain encode a packet's plaintext through the same
+// pooled encoder the carriers seal from, copied out so the tests may keep it.
+func callPlain(seq uint32, tc wire.TraceHeader, req Request) []byte {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	encodeCallInto(e, seq, tc, req)
+	return append([]byte(nil), e.Buf()...)
+}
+
+func replyPlain(seq uint32, svc time.Duration, resp Response) []byte {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	encodeReplyInto(e, seq, svc, resp)
+	return append([]byte(nil), e.Buf()...)
+}
+
 func TestCallCodecRoundTrip(t *testing.T) {
 	f := func(seq uint32, traceID, spanID uint64, op uint16, body, bulk []byte) bool {
 		tc := wire.TraceHeader{Trace: traceID, Span: spanID}
-		plain := encodeCall(seq, tc, Request{Op: Op(op), Body: body, Bulk: bulk})
+		plain := callPlain(seq, tc, Request{Op: Op(op), Body: body, Bulk: bulk})
 		gotSeq, gotTC, req, err := decodeCall(plain)
 		if err != nil || gotSeq != seq || gotTC != tc || req.Op != Op(op) {
 			return false
@@ -27,7 +43,7 @@ func TestCallCodecRoundTrip(t *testing.T) {
 func TestReplyCodecRoundTrip(t *testing.T) {
 	f := func(seq uint32, svcNs int64, code uint16, body, bulk []byte) bool {
 		svc := time.Duration(svcNs)
-		plain := encodeReply(seq, svc, Response{Code: code, Body: body, Bulk: bulk})
+		plain := replyPlain(seq, svc, Response{Code: code, Body: body, Bulk: bulk})
 		gotSeq, gotSvc, resp, err := decodeReply(plain)
 		if err != nil || gotSeq != seq || gotSvc != svc || resp.Code != code {
 			return false
@@ -46,7 +62,7 @@ func TestCodecGarbageSafe(t *testing.T) {
 		if _, _, _, err := decodeCall(garbage); err == nil {
 			// A successful decode must re-encode to an equivalent packet.
 			seq, tc, req, _ := decodeCall(garbage)
-			back := encodeCall(seq, tc, req)
+			back := callPlain(seq, tc, req)
 			_, _, req2, err2 := decodeCall(back)
 			if err2 != nil || !bytes.Equal(req.Body, req2.Body) {
 				return false
@@ -66,7 +82,7 @@ func TestDecodeCallAliasesBuffer(t *testing.T) {
 	// one), which saves two copies per call — with bulk transfers, the
 	// copy would be the whole file. This test pins the zero-copy contract;
 	// a transport that wants to reuse decryption buffers must copy first.
-	plain := encodeCall(1, wire.TraceHeader{Trace: 9, Span: 4}, Request{Op: 5, Body: []byte("body"), Bulk: []byte("bulk")})
+	plain := callPlain(1, wire.TraceHeader{Trace: 9, Span: 4}, Request{Op: 5, Body: []byte("body"), Bulk: []byte("bulk")})
 	_, _, req, err := decodeCall(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +100,8 @@ func TestTraceHeaderAlwaysOnWire(t *testing.T) {
 	// traced, so enabling tracing cannot change packet sizes — and with them
 	// the virtual-time behavior of the simulation.
 	req := Request{Op: 5, Body: []byte("body")}
-	untraced := encodeCall(1, wire.TraceHeader{}, req)
-	traced := encodeCall(1, wire.TraceHeader{Trace: 123456, Span: 789}, req)
+	untraced := callPlain(1, wire.TraceHeader{}, req)
+	traced := callPlain(1, wire.TraceHeader{Trace: 123456, Span: 789}, req)
 	if len(untraced) != len(traced) {
 		t.Fatalf("traced call is %d bytes, untraced %d", len(traced), len(untraced))
 	}

@@ -2,19 +2,26 @@
 // of Section 3.5.3: mutual client/server authentication and end-to-end
 // encryption are integrated into the RPC layer, whole-file transfer is a
 // side effect of a call (the Bulk payload), and a server is a single process
-// with lightweight threads of control per call (goroutines here, one per
-// in-flight call).
+// with lightweight threads of control per call.
 //
-// Two interchangeable transports carry the same sealed bytes:
+// One session core (session.go) is the connection: the session box, the
+// authenticated user, the seq counter and pending table, reply resolution,
+// the served-call body (span, dispatch, service time, serve-latency metric,
+// a fused seal of the reply) and failing calls on close. The client side of
+// the handshake is shared too. Sessions are full duplex: either side may
+// place calls and serve them, which is how Vice breaks callbacks to Venus.
+// Two thin carriers move a session's sealed packets:
 //
-//   - Endpoint (sim.go) runs over the simulated campus network in virtual
-//     time, charging server CPU and disk per call through a CostModel. The
-//     evaluation harness uses it.
-//   - Peer (tcp.go) runs over any io.ReadWriteCloser, typically a TCP
-//     connection. cmd/itcfsd and cmd/itcfs use it.
-//
-// Both transports are full duplex: either side may register a Server and
-// receive calls, which is how Vice breaks callbacks to Venus.
+//   - The netsim carrier (sim.go: Endpoint, SimConn) runs over the simulated
+//     campus network in virtual time, which can lose and duplicate frames.
+//     So it alone keeps retransmission with backoff, the at-most-once reply
+//     cache, retransmission-tolerant server handshake steps, per-call worker
+//     processes and cost-model charging. The evaluation harness uses it.
+//   - The stream carrier (tcp.go: Peer) runs over any io.ReadWriteCloser,
+//     typically TCP, which never duplicates a frame. It keeps framed writes,
+//     a read loop and a goroutine per served call, with no reply cache: one
+//     would pin whole fetch replies for nothing. It bounds the unauthenticated
+//     handshake in size and time. cmd/itcfsd and cmd/itcfs use it.
 package rpc
 
 import (
@@ -23,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"itcfs/internal/secure"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
 	"itcfs/internal/wire"
@@ -96,6 +102,14 @@ type Ctx struct {
 	Span *trace.Span
 }
 
+// Backchannel lets a server place calls back to a connected client (the
+// callback path of the revised design). The proc argument is the calling
+// simulated process; real transports accept nil.
+type Backchannel interface {
+	CallBack(p *sim.Proc, req Request) (Response, error)
+	BackUser() string
+}
+
 // HandlerFunc serves one call.
 type HandlerFunc func(ctx Ctx, req Request) Response
 
@@ -143,9 +157,11 @@ func (s *Server) Dispatch(ctx Ctx, req Request) Response {
 	return fn(ctx, req)
 }
 
-// Packet kinds on the wire. Handshake packets are cleartext (their contents
-// are sealed records from the secure package); call and reply packets are
-// sealed in their entirety under the session key.
+// Packet kinds. Handshake packets are cleartext (their contents are sealed
+// records from the secure package); call and reply packets are sealed in
+// their entirety under the session key. Netsim packets carry the kind in
+// their header; a stream's handshake frames come in fixed order, and its
+// call and reply kinds ride inside the seal.
 const (
 	kindHello     = 1 // client -> server, handshake message 1
 	kindChallenge = 2 // server -> client, handshake message 2
@@ -156,36 +172,16 @@ const (
 	kindClose     = 7
 )
 
-// encodeCall produces the plaintext of a call packet (seq, trace context,
-// op, body, bulk). The trace header is always present — zero when untraced —
-// so packet sizes, and with them simulated time, never depend on whether
-// tracing is enabled.
+// encodeCallInto encodes the plaintext of a call packet (seq, trace
+// context, op, body, bulk). The trace header is always present — zero when
+// untraced — so packet sizes, and with them simulated time, never depend on
+// whether tracing is enabled.
 func encodeCallInto(e *wire.Encoder, seq uint32, tc wire.TraceHeader, req Request) {
 	e.U32(seq)
 	tc.Encode(e)
 	e.U16(uint16(req.Op))
 	e.Bytes(req.Body)
 	e.Bytes(req.Bulk)
-}
-
-func encodeCall(seq uint32, tc wire.TraceHeader, req Request) []byte {
-	e := wire.GetEncoder()
-	encodeCallInto(e, seq, tc, req)
-	out := append([]byte(nil), e.Buf()...)
-	wire.PutEncoder(e)
-	return out
-}
-
-// sealCall encodes and seals a call packet in one step: the plaintext lives
-// only in a pooled scratch buffer, never in a fresh allocation of its own.
-// With bulk transfers riding in call bodies that intermediate copy was a
-// measurable slice of the simulator's allocation volume.
-func sealCall(box *secure.Box, seq uint32, tc wire.TraceHeader, req Request) []byte {
-	e := wire.GetEncoder()
-	encodeCallInto(e, seq, tc, req)
-	sealed := box.Seal(e.Buf())
-	wire.PutEncoder(e)
-	return sealed
 }
 
 // decodeCall decodes a call packet. The returned request's Body and Bulk
@@ -206,34 +202,16 @@ func decodeCall(plain []byte) (seq uint32, tc wire.TraceHeader, req Request, err
 	return seq, tc, req, nil
 }
 
-// encodeReply produces the plaintext of a reply packet (seq, service time,
-// code, body, bulk). The server echoes its measured service time so the
-// client can attribute call latency between network and server; like the
-// trace header it is always present, zero on transports that don't measure.
+// encodeReplyInto encodes the plaintext of a reply packet (seq, service
+// time, code, body, bulk). The server echoes its measured service time so
+// the client can attribute call latency between network and server; like
+// the trace header it is always present.
 func encodeReplyInto(e *wire.Encoder, seq uint32, svc time.Duration, resp Response) {
 	e.U32(seq)
 	e.U64(uint64(svc))
 	e.U16(resp.Code)
 	e.Bytes(resp.Body)
 	e.Bytes(resp.Bulk)
-}
-
-func encodeReply(seq uint32, svc time.Duration, resp Response) []byte {
-	e := wire.GetEncoder()
-	encodeReplyInto(e, seq, svc, resp)
-	out := append([]byte(nil), e.Buf()...)
-	wire.PutEncoder(e)
-	return out
-}
-
-// sealReply is encodeReply fused with Seal; see sealCall. Fetch replies
-// carry whole files in Bulk, so the skipped plaintext copy is the file.
-func sealReply(box *secure.Box, seq uint32, svc time.Duration, resp Response) []byte {
-	e := wire.GetEncoder()
-	encodeReplyInto(e, seq, svc, resp)
-	sealed := box.Seal(e.Buf())
-	wire.PutEncoder(e)
-	return sealed
 }
 
 // decodeReply decodes a reply packet. Body and Bulk alias plain (see

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -63,35 +64,19 @@ type RetryPolicy struct {
 // must recognize a sequence number it has already executed and resend the
 // saved reply instead of running the operation again.
 type replyCache struct {
-	inflight map[uint32]bool
-	done     map[uint32][]byte // seq -> sealed reply packet
-	order    []uint32
+	done  map[uint32][]byte // seq -> sealed reply packet; nil while executing
+	order []uint32          // finished seqs, oldest first
 }
 
 const replyCacheSize = 512
 
-func newReplyCache() *replyCache {
-	return &replyCache{inflight: make(map[uint32]bool), done: make(map[uint32][]byte)}
-}
-
 func (rc *replyCache) finish(seq uint32, sealed []byte) {
-	delete(rc.inflight, seq)
-	if _, ok := rc.done[seq]; !ok {
-		rc.order = append(rc.order, seq)
-	}
 	rc.done[seq] = sealed
+	rc.order = append(rc.order, seq)
 	for len(rc.order) > replyCacheSize {
 		delete(rc.done, rc.order[0])
 		rc.order = rc.order[1:]
 	}
-}
-
-// Backchannel lets a server place calls back to a connected client (the
-// callback path of the revised design). The proc argument is the calling
-// simulated process; real transports accept nil.
-type Backchannel interface {
-	CallBack(p *sim.Proc, req Request) (Response, error)
-	BackUser() string
 }
 
 // EndpointConfig configures an Endpoint.
@@ -139,6 +124,7 @@ type Endpoint struct {
 	net  *netsim.Network
 	node *netsim.Node
 	cfg  EndpointConfig
+	host host // serving side of every session on this endpoint
 
 	nextConn uint64
 	outbound map[uint64]*SimConn
@@ -168,7 +154,6 @@ type Endpoint struct {
 	mTimeouts *trace.StripedCounter
 	mReplays  *trace.StripedCounter
 	mDupSup   *trace.StripedCounter
-	mServeLat *trace.Histogram
 	mCallLat  *trace.Histogram
 }
 
@@ -177,49 +162,34 @@ type inKey struct {
 	conn uint64
 }
 
-type callKey struct {
-	conn uint64
-	seq  uint32
-}
-
-type outcome struct {
-	resp Response
-	err  error
-	svc  time.Duration // server-reported service time, echoed in the reply
-	pkt  *pkt          // the reply packet, carrying its network delays
+// simLink is the netsim carrier under one session: the far node, the
+// connection id (chosen by the dialing endpoint) and the at-most-once
+// cache for calls arriving on the connection.
+type simLink struct {
+	session
+	ep     *Endpoint
+	remote netsim.NodeID
+	id     uint64
+	served *replyCache
 }
 
 // SimConn is an authenticated outbound connection.
 type SimConn struct {
-	ep      *Endpoint
-	remote  netsim.NodeID
-	id      uint64
-	user    string
-	box     *secure.Box
-	nextSeq uint32
-	pending map[uint32]*sim.Future[outcome]
+	simLink
 	hsReply *sim.Future[[]byte] // in-flight handshake step
-	serve   *replyCache         // dedupes inbound callback calls
-	closed  bool
 }
 
 // inConn is the server-side state of an accepted connection.
 type inConn struct {
-	ep      *Endpoint
-	key     inKey
+	simLink
 	hs      *secure.ServerHandshake
 	hsFinal []byte // saved final handshake message, resent on duplicate proofs
-	box     *secure.Box
-	user    string
-	nextSeq uint32
-	pending map[uint32]*sim.Future[outcome]
-	serve   *replyCache // dedupes inbound calls
 }
 
 // NewEndpoint attaches an endpoint to node and registers its receive sink.
 func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *Endpoint {
 	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = 60 * time.Second
+		cfg.CallTimeout = defaultCallTimeout
 	}
 	if cfg.CallbackTimeout == 0 {
 		cfg.CallbackTimeout = cfg.CallTimeout / 4
@@ -245,8 +215,10 @@ func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *En
 	ep.mTimeouts = cfg.Metrics.Striped(trace.MetricRPCCallTimeouts)
 	ep.mReplays = cfg.Metrics.Striped(trace.MetricRPCReplyCacheReplays)
 	ep.mDupSup = cfg.Metrics.Striped(trace.MetricRPCDupSuppressed)
-	ep.mServeLat = cfg.Metrics.Histogram(trace.MetricRPCServeLatency)
 	ep.mCallLat = cfg.Metrics.Histogram(trace.MetricRPCCallLatency)
+	ep.host.server, ep.host.node, ep.host.cfg = cfg.Server, node.Name, &ep.cfg
+	ep.host.tracer.Store(cfg.Tracer)
+	ep.host.serveLat.Store(cfg.Metrics.Histogram(trace.MetricRPCServeLatency))
 	node.SetSink(ep.deliver)
 	return ep
 }
@@ -273,6 +245,17 @@ func (ep *Endpoint) Retries() int64 { return ep.retries }
 // original is still executing).
 func (ep *Endpoint) DupSuppressed() int64 { return ep.dupSuppressed }
 
+// pause counts and logs retry attempt a (a >= 1) of a call or handshake
+// step to remote, then sleeps out its backoff.
+func (ep *Endpoint) pause(p *sim.Proc, a int, remote netsim.NodeID, what string, id int) {
+	ep.retries++
+	ep.mRetries.Inc(ep.mShard)
+	if fl := ep.cfg.Flight; fl != nil {
+		fl.Log(trace.EventRPCRetry, ep.node.Name, fmt.Sprintf("%s %d attempt %d to node %d", what, id, a+1, remote))
+	}
+	p.Sleep(ep.backoff(a))
+}
+
 // backoff returns the delay before retry attempt a (a >= 1): exponential in
 // the attempt number with deterministic jitter.
 func (ep *Endpoint) backoff(a int) time.Duration {
@@ -280,22 +263,17 @@ func (ep *Endpoint) backoff(a int) time.Duration {
 	if d <= 0 {
 		d = time.Second
 	}
-	for i := 1; i < a; i++ {
+	ceil := ep.cfg.Retry.MaxBackoff
+	for i := 1; i < a && (ceil <= 0 || d < ceil); i++ {
 		d *= 2
-		if cap := ep.cfg.Retry.MaxBackoff; cap > 0 && d >= cap {
-			break
-		}
 	}
-	if cap := ep.cfg.Retry.MaxBackoff; cap > 0 && d > cap {
-		d = cap
+	if ceil > 0 && d > ceil {
+		d = ceil
 	}
 	if j := ep.cfg.Retry.Jitter; j > 0 {
 		d = time.Duration(float64(d) * (1 + j*(2*ep.rng.Float64()-1)))
 	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return max(d, 0)
 }
 
 // Node returns the network node the endpoint is bound to.
@@ -303,13 +281,7 @@ func (ep *Endpoint) Node() *netsim.Node { return ep.node }
 
 // CallCounts returns a copy of the per-op histogram of calls served. This is
 // the raw data behind the paper's "histogram of calls received by servers".
-func (ep *Endpoint) CallCounts() map[Op]int64 {
-	out := make(map[Op]int64, len(ep.callCounts))
-	for op, n := range ep.callCounts {
-		out[op] = n
-	}
-	return out
-}
+func (ep *Endpoint) CallCounts() map[Op]int64 { return maps.Clone(ep.callCounts) }
 
 // CallsTotal returns the total number of calls served.
 func (ep *Endpoint) CallsTotal() int64 { return ep.callsTotal }
@@ -331,11 +303,8 @@ func (ep *Endpoint) send(to netsim.NodeID, p *pkt) {
 // implementation (§3.5.2).
 func (ep *Endpoint) deliver(msg netsim.Message) {
 	pk, ok := msg.Payload.(*pkt)
-	if !ok {
-		return
-	}
-	if ep.down {
-		return // a crashed host hears nothing
+	if !ok || ep.down {
+		return // not ours, or a crashed host, which hears nothing
 	}
 	switch pk.Kind {
 	case kindHello, kindProof:
@@ -369,6 +338,13 @@ func workerName(op Op) string {
 	return n
 }
 
+// link makes l a fresh session of this endpoint's to remote.
+func (ep *Endpoint) link(l *simLink, remote netsim.NodeID, id uint64, user string, dialed bool) {
+	l.session = session{host: &ep.host, user: user, peer: ep.net.Node(remote).Name, dialed: dialed,
+		pending: make(map[uint32]waiter)}
+	l.ep, l.remote, l.id, l.served = ep, remote, id, &replyCache{done: make(map[uint32][]byte)}
+}
+
 // handleHandshake serves handshake messages 1 and 3 in a worker process,
 // charging the configured authentication cost.
 func (ep *Endpoint) handleHandshake(pk *pkt) {
@@ -388,13 +364,9 @@ func (ep *Endpoint) handleHandshake(pk *pkt) {
 			if err != nil {
 				return // authentication failure: no reply, client times out
 			}
-			ep.inbound[key] = &inConn{
-				ep:      ep,
-				key:     key,
-				hs:      hs,
-				pending: make(map[uint32]*sim.Future[outcome]),
-				serve:   newReplyCache(),
-			}
+			ic := &inConn{hs: hs}
+			ep.link(&ic.simLink, pk.From, pk.Conn, "", false)
+			ep.inbound[key] = ic
 			ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindChallenge, Data: challenge})
 		case kindProof:
 			ic := ep.inbound[key]
@@ -424,30 +396,25 @@ func (ep *Endpoint) handleHandshake(pk *pkt) {
 	})
 }
 
-// handleCall decrypts, dispatches and answers one inbound call in a worker
-// process. Calls arrive on inbound connections (a client calling the
-// server) or on outbound ones (the server breaking a callback to us).
+// handleCall decrypts and dedupes one inbound call and serves it in a
+// worker process. Calls arrive on inbound connections (a client calling
+// the server) or on outbound ones (the server breaking a callback to us).
 func (ep *Endpoint) handleCall(pk *pkt) {
-	var box *secure.Box
-	var user string
+	var l *simLink
 	var back Backchannel
-	var serve *replyCache
 	if ic := ep.inbound[inKey{pk.From, pk.Conn}]; ic != nil && ic.box != nil {
-		box, user, back, serve = ic.box, ic.user, ic, ic.serve
+		l, back = &ic.simLink, ic
 	} else if c := ep.outbound[pk.Conn]; c != nil && c.remote == pk.From && c.box != nil {
-		box, user, back, serve = c.box, "", c, c.serve
+		l, back = &c.simLink, c
 	} else {
 		return // unknown or unauthenticated connection
 	}
-	plain, err := box.Open(pk.Data)
-	if err != nil {
+	_, plain, ok := l.open(pk.Data)
+	if !ok {
 		return // tampered or replayed under the wrong key
 	}
 	seq, tc, req, err := decodeCall(plain)
-	if err != nil {
-		return
-	}
-	if ep.cfg.Server == nil {
+	if err != nil || ep.cfg.Server == nil {
 		return
 	}
 	// At-most-once: a retransmitted or duplicated call must not execute
@@ -455,223 +422,83 @@ func (ep *Endpoint) handleCall(pk *pkt) {
 	// the original is still executing (its reply will cover both frames).
 	// The cached sealed reply carries the original execution's service
 	// time, so replays attribute latency truthfully.
-	if sealed, ok := serve.done[seq]; ok {
+	if sealed, seen := l.served.done[seq]; seen {
 		ep.dupSuppressed++
+		if sealed == nil {
+			ep.mDupSup.Inc(ep.mShard)
+			return
+		}
 		ep.mReplays.Inc(ep.mShard)
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 		return
 	}
-	if serve.inflight[seq] {
-		ep.dupSuppressed++
-		ep.mDupSup.Inc(ep.mShard)
-		return
-	}
-	serve.inflight[seq] = true
+	l.served.done[seq] = nil
 	ep.callCounts[req.Op]++
 	ep.callsTotal++
 	ep.mInflight.Add(1)
 	ep.k.Spawn(workerName(req.Op), func(p *sim.Proc) {
 		defer ep.mInflight.Add(-1)
-		started := p.Now()
-		sp := ep.cfg.Tracer.BeginRemote(p, tc, trace.SpanRPCServe, ep.node.Name)
-		sp.SetInt(trace.AttrOp, int64(req.Op))
-		ctx := Ctx{User: user, Peer: ep.net.Node(pk.From).Name, Back: back, Proc: p, Span: sp}
-		resp := ep.cfg.Server.Dispatch(ctx, req)
-		if ep.cfg.Model != nil {
-			ep.cfg.Meters.charge(p, ep.cfg.Model(ctx, req, resp))
-		}
-		// Service time spans dispatch plus cost charges: the whole interval
-		// this server held the call, which the reply echoes to the client.
-		svc := p.Now().Sub(started)
-		if ep.cfg.Observe != nil {
-			ep.cfg.Observe(ctx, req, resp, svc)
-		}
-		ep.mServeLat.Observe(svc)
-		sp.End()
-		sealed := sealReply(box, seq, svc, resp)
-		serve.finish(seq, sealed)
+		sealed := l.serve(p, back, seq, tc, req)
+		l.served.finish(seq, sealed)
 		ep.send(pk.From, &pkt{Conn: pk.Conn, Kind: kindReply, Data: sealed})
 	})
 }
 
-// handleReply resolves the pending future for a reply to a call this
-// endpoint originated — on an outbound connection, or a callback on an
-// inbound one.
+// handleReply resolves a reply to a call this endpoint originated — on an
+// outbound connection, or a callback on an inbound one.
 func (ep *Endpoint) handleReply(pk *pkt) {
-	if c := ep.outbound[pk.Conn]; c != nil && c.remote == pk.From {
-		c.resolve(pk)
+	var s *session
+	if c := ep.outbound[pk.Conn]; c != nil && c.remote == pk.From && c.box != nil {
+		s = &c.session
+	} else if ic := ep.inbound[inKey{pk.From, pk.Conn}]; ic != nil && ic.box != nil {
+		s = &ic.session
+	} else {
 		return
 	}
-	if ic := ep.inbound[inKey{pk.From, pk.Conn}]; ic != nil && ic.box != nil {
-		ic.resolve(pk)
+	if _, plain, ok := s.open(pk.Data); ok {
+		s.resolve(plain, pk)
 	}
 }
 
-func (c *SimConn) resolve(pk *pkt) {
-	plain, err := c.box.Open(pk.Data)
-	if err != nil {
-		return
-	}
-	seq, svc, resp, err := decodeReply(plain)
-	if err != nil {
-		return
-	}
-	if f := c.pending[seq]; f != nil {
-		delete(c.pending, seq)
-		f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
-	}
-}
-
-func (ic *inConn) resolve(pk *pkt) {
-	plain, err := ic.box.Open(pk.Data)
-	if err != nil {
-		return
-	}
-	seq, svc, resp, err := decodeReply(plain)
-	if err != nil {
-		return
-	}
-	if f := ic.pending[seq]; f != nil {
-		delete(ic.pending, seq)
-		f.TrySet(outcome{resp: resp, svc: svc, pkt: pk})
-	}
-}
-
-// Dial establishes an authenticated connection to the endpoint on the
-// remote node, performing the full four-message handshake in virtual time.
-// It must be called from a simulated process.
-func (ep *Endpoint) Dial(p *sim.Proc, remote netsim.NodeID, user string, key secure.Key) (*SimConn, error) {
-	ep.nextConn++
-	c := &SimConn{
-		ep:      ep,
-		remote:  remote,
-		id:      ep.nextConn,
-		user:    user,
-		pending: make(map[uint32]*sim.Future[outcome]),
-		serve:   newReplyCache(),
-	}
-	ep.outbound[c.id] = c
-	hs := secure.NewClientHandshake(user, key)
-
-	challenge, err := c.handshakeStep(p, kindHello, hs.Hello())
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	proof, err := hs.Proof(challenge)
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	final, err := c.handshakeStep(p, kindProof, proof)
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	session, err := hs.Session(final)
-	if err != nil {
-		delete(ep.outbound, c.id)
-		return nil, err
-	}
-	c.box = secure.NewBox(session)
-	return c, nil
-}
-
-// handshakeStep sends one handshake message and waits for its reply,
-// retransmitting with backoff under the endpoint's retry policy. Each
-// attempt sends a fresh copy of the message so an in-flight corruption
-// fault cannot poison later retransmissions.
-func (c *SimConn) handshakeStep(p *sim.Proc, kind uint8, data []byte) ([]byte, error) {
-	attempts := c.ep.cfg.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			c.ep.retries++
-			c.ep.mRetries.Inc(c.ep.mShard)
-			if fl := c.ep.cfg.Flight; fl != nil {
-				fl.Log(trace.EventRPCRetry, c.ep.node.Name,
-					fmt.Sprintf("handshake kind %d attempt %d to node %d", kind, a+1, c.remote))
-			}
-			p.Sleep(c.ep.backoff(a))
+// roundTrip makes simLink the session's carrier.
+func (l *simLink) roundTrip(p *sim.Proc, w waiter, sealed []byte, op Op, timeout time.Duration) (outcome, *pkt) {
+	pk := &pkt{Conn: l.id, Kind: kindCall, Data: sealed}
+	l.ep.send(l.remote, pk)
+	f := w.(*sim.Future[outcome])
+	l.ep.k.After(timeout, func() {
+		if !f.Done() { // answered calls build no timeout error
+			f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, op, l.remote)})
 		}
-		f := sim.NewFuture[[]byte](c.ep.k)
-		c.hsReply = f
-		c.ep.send(c.remote, &pkt{Conn: c.id, Kind: kind, Data: append([]byte(nil), data...)})
-		c.ep.k.After(c.ep.cfg.CallTimeout, func() {
-			if f.TrySet(nil) && c.hsReply == f {
-				c.hsReply = nil
-			}
-		})
-		if reply := f.Wait(p); reply != nil {
-			return reply, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: handshake timeout to node %d", ErrUnreachable, c.remote)
+	})
+	return f.Wait(p), pk
 }
 
-// User returns the identity the connection authenticated as.
-func (c *SimConn) User() string { return c.user }
-
-// Remote returns the node at the far end.
-func (c *SimConn) Remote() netsim.NodeID { return c.remote }
-
-// Call performs one RPC and waits (in virtual time) for the reply. Under a
-// retry policy, unanswered attempts are retransmitted with exponential
-// backoff and jitter; every attempt reuses the same sequence number, so the
-// server's at-most-once cache executes the operation exactly once no matter
-// how often frames are lost or duplicated in flight.
-func (c *SimConn) Call(p *sim.Proc, req Request) (Response, error) {
-	if c.closed {
-		return Response{}, ErrClosed
-	}
-	sp := c.ep.cfg.Tracer.Begin(p, trace.SpanRPCCall, c.ep.node.Name)
+// invoke wraps the session call path in the client span, retransmission
+// with backoff and latency attribution. Every attempt reuses one sequence
+// number, so the far side's at-most-once cache executes the operation
+// exactly once no matter how often frames are lost or duplicated.
+func (l *simLink) invoke(p *sim.Proc, req Request, attempts int, timeout time.Duration) (Response, error) {
+	ep := l.ep
+	sp := ep.cfg.Tracer.Begin(p, trace.SpanRPCCall, ep.node.Name)
 	sp.SetInt(trace.AttrOp, int64(req.Op))
 	started := p.Now()
-	c.nextSeq++
-	seq := c.nextSeq
+	seq := l.next()
 	tc := sp.Context()
-	attempts := c.ep.cfg.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < max(attempts, 1); a++ {
 		if a > 0 {
-			c.ep.retries++
-			c.ep.mRetries.Inc(c.ep.mShard)
-			if fl := c.ep.cfg.Flight; fl != nil {
-				fl.Log(trace.EventRPCRetry, c.ep.node.Name,
-					fmt.Sprintf("op %d attempt %d to node %d", req.Op, a+1, c.remote))
-			}
-			p.Sleep(c.ep.backoff(a))
-			if c.closed {
+			ep.pause(p, a, l.remote, "op", int(req.Op))
+			if l.isClosed() {
 				sp.End()
 				return Response{}, lastErr
 			}
 		}
-		f := sim.NewFuture[outcome](c.ep.k)
-		c.pending[seq] = f
-		// Re-encoding on retry is cheaper than keeping the plaintext alive
-		// across the call; each attempt seals fresh (new nonce) regardless.
-		reqPkt := &pkt{Conn: c.id, Kind: kindCall, Data: sealCall(c.box, seq, tc, req)}
-		c.ep.send(c.remote, reqPkt)
-		c.ep.k.After(c.ep.cfg.CallTimeout, func() {
-			if f.Done() {
-				return // answered; don't build the timeout error
-			}
-			f.Set(outcome{err: fmt.Errorf("%w: op %d to node %d", ErrTimeout, req.Op, c.remote)})
-			if c.pending[seq] == f {
-				delete(c.pending, seq)
-			}
-		})
-		out := f.Wait(p)
+		out, reqPkt := l.call(l, sim.NewFuture[outcome](ep.k), p, seq, tc, req, timeout)
 		if out.err == nil {
-			c.ep.finishCall(sp, p, started, reqPkt, out)
+			ep.finishCall(sp, p, started, reqPkt, out)
 			return out.resp, nil
 		}
-		c.ep.mTimeouts.Inc(c.ep.mShard)
+		ep.mTimeouts.Inc(ep.mShard)
 		lastErr = out.err
 	}
 	sp.End()
@@ -700,57 +527,78 @@ func (ep *Endpoint) finishCall(sp *trace.Span, p *sim.Proc, started sim.Time, re
 	ep.mCallLat.Observe(p.Now().Sub(started))
 }
 
+// Dial establishes an authenticated connection to the endpoint on the
+// remote node, performing the full four-message handshake in virtual time.
+// It must be called from a simulated process.
+func (ep *Endpoint) Dial(p *sim.Proc, remote netsim.NodeID, user string, key secure.Key) (*SimConn, error) {
+	ep.nextConn++
+	c := &SimConn{}
+	ep.link(&c.simLink, remote, ep.nextConn, user, true)
+	ep.outbound[c.id] = c
+	box, err := clientHandshake(user, key, func(kind uint8, msg []byte) ([]byte, error) {
+		return c.handshakeStep(p, kind, msg)
+	})
+	if err != nil {
+		delete(ep.outbound, c.id)
+		return nil, err
+	}
+	c.box = box
+	return c, nil
+}
+
+// handshakeStep sends one handshake message and waits for its reply,
+// retransmitting with backoff under the endpoint's retry policy. Each
+// attempt sends a fresh copy of the message so an in-flight corruption
+// fault cannot poison later retransmissions.
+func (c *SimConn) handshakeStep(p *sim.Proc, kind uint8, data []byte) ([]byte, error) {
+	for a := 0; a < max(c.ep.cfg.Retry.Attempts, 1); a++ {
+		if a > 0 {
+			c.ep.pause(p, a, c.remote, "handshake kind", int(kind))
+		}
+		f := sim.NewFuture[[]byte](c.ep.k)
+		c.hsReply = f
+		c.ep.send(c.remote, &pkt{Conn: c.id, Kind: kind, Data: append([]byte(nil), data...)})
+		c.ep.k.After(c.ep.cfg.CallTimeout, func() {
+			if f.TrySet(nil) && c.hsReply == f {
+				c.hsReply = nil
+			}
+		})
+		if reply := f.Wait(p); reply != nil {
+			return reply, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: handshake timeout to node %d", ErrUnreachable, c.remote)
+}
+
+// Call performs one RPC and waits (in virtual time) for the reply. Under a
+// retry policy, unanswered attempts are retransmitted with exponential
+// backoff and jitter.
+func (c *SimConn) Call(p *sim.Proc, req Request) (Response, error) {
+	if c.isClosed() {
+		return Response{}, ErrClosed
+	}
+	return c.invoke(p, req, c.ep.cfg.Retry.Attempts, c.ep.cfg.CallTimeout)
+}
+
 // Close tears down the connection; the server forgets its state.
 func (c *SimConn) Close() {
-	if c.closed {
+	if !c.close(nil) {
 		return
 	}
-	c.closed = true
 	c.ep.send(c.remote, &pkt{Conn: c.id, Kind: kindClose})
 	delete(c.ep.outbound, c.id)
 }
 
 // CallBack places a call from the server back to the client on an accepted
-// connection (callback breaking). It implements Backchannel.
+// connection (callback breaking): one attempt, bounded by CallbackTimeout.
+// The call rides the worker's ambient serve span, so the break appears in
+// the same distributed trace as the mutation that caused it. It implements
+// Backchannel.
 func (ic *inConn) CallBack(p *sim.Proc, req Request) (Response, error) {
-	if ic.box == nil {
-		return Response{}, ErrClosed
-	}
-	// The callback rides the worker's ambient serve span, so the break
-	// appears in the same distributed trace as the mutation that caused it.
-	sp := ic.ep.cfg.Tracer.Begin(p, trace.SpanRPCCall, ic.ep.node.Name)
-	sp.SetInt(trace.AttrOp, int64(req.Op))
-	started := p.Now()
-	ic.nextSeq++
-	seq := ic.nextSeq
-	f := sim.NewFuture[outcome](ic.ep.k)
-	ic.pending[seq] = f
-	reqPkt := &pkt{Conn: ic.key.conn, Kind: kindCall, Data: sealCall(ic.box, seq, sp.Context(), req)}
-	ic.ep.send(ic.key.from, reqPkt)
-	ic.ep.k.After(ic.ep.cfg.CallbackTimeout, func() {
-		if f.Done() {
-			return // answered; don't build the timeout error
-		}
-		f.Set(outcome{err: fmt.Errorf("%w: callback op %d", ErrTimeout, req.Op)})
-		delete(ic.pending, seq)
-	})
-	out := f.Wait(p)
-	if out.err != nil {
-		ic.ep.mTimeouts.Inc(ic.ep.mShard)
-		sp.End()
-		return out.resp, out.err
-	}
-	ic.ep.finishCall(sp, p, started, reqPkt, out)
-	return out.resp, out.err
+	return ic.invoke(p, req, 1, ic.ep.cfg.CallbackTimeout)
 }
-
-// BackUser returns the authenticated user of the connection.
-func (ic *inConn) BackUser() string { return ic.user }
 
 // CallBack on an outbound connection is an ordinary call: the client side of
 // a connection reaches the server the same way in both roles. It implements
 // Backchannel so callback handlers can answer the server symmetrically.
 func (c *SimConn) CallBack(p *sim.Proc, req Request) (Response, error) { return c.Call(p, req) }
-
-// BackUser returns the identity this connection authenticated as.
-func (c *SimConn) BackUser() string { return c.user }

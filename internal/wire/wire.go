@@ -283,18 +283,32 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // ReadFrame reads one length-prefixed frame, enforcing the MaxField limit.
-func ReadFrame(r io.Reader) ([]byte, error) {
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameLimit(r, MaxField) }
+
+// frameChunk is the most ReadFrameLimit allocates ahead of bytes received.
+const frameChunk = 1 << 20
+
+// ReadFrameLimit reads one length-prefixed frame of at most limit bytes.
+// Frames up to frameChunk are read into one exact allocation; beyond it
+// the buffer grows only as bytes arrive, so a peer that declares a huge
+// length and then stalls or hangs up costs one chunk, not the length.
+func ReadFrameLimit(r io.Reader, limit uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxField {
+	if n > limit {
 		return nil, ErrTooLong
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	payload := make([]byte, min(int(n), frameChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, payload[off:]); err != nil {
+			return nil, err
+		}
+		if off = len(payload); off == int(n) {
+			return payload, nil
+		}
+		payload = append(payload, make([]byte, min(int(n)-off, off))...)
 	}
-	return payload, nil
 }

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -240,5 +243,43 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 		if got != h {
 			t.Fatalf("round trip: %+v != %+v", got, h)
 		}
+	}
+}
+
+func TestReadFrameLimitSizes(t *testing.T) {
+	// Frames past frameChunk take the grow-as-bytes-arrive path; every
+	// size must round-trip exactly.
+	for _, n := range []int{0, 1, frameChunk - 1, frameChunk, frameChunk + 1, 3*frameChunk + 5} {
+		var buf bytes.Buffer
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		if err := WriteFrame(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrameLimit(&buf, MaxField)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("size %d: got %d bytes, err %v", n, len(got), err)
+		}
+	}
+	var buf bytes.Buffer
+	_ = WriteFrame(&buf, make([]byte, 100))
+	if _, err := ReadFrameLimit(&buf, 99); !errors.Is(err, ErrTooLong) {
+		t.Fatalf("over-limit frame: err = %v, want ErrTooLong", err)
+	}
+}
+
+func TestReadFrameLyingLengthAllocatesOneChunk(t *testing.T) {
+	// A header declaring MaxField followed by a short body must fail
+	// without allocating the declared length.
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxField)
+	r := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader([]byte("short")))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadFrame(r); err == nil {
+		t.Fatal("truncated frame read without error")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 2*frameChunk {
+		t.Fatalf("a lying %d-byte header allocated %d bytes", MaxField, grown)
 	}
 }
