@@ -48,14 +48,19 @@ go test ./...
 # left behind by an earlier test in file order.
 go test -shuffle=on ./...
 
+# The itcbench smokes below share one build of the command.
+bindir="$(mktemp -d)"
+go build -o "$bindir/itcbench" ./cmd/itcbench
+itcbench="$bindir/itcbench"
+
 # Telemetry determinism smoke: two same-seed E15 runs must export
 # byte-identical timeline dashboards, flight recordings and series CSVs
 # through the real itcbench surfaces, not just the in-process test.
 tmpdir="$(mktemp -d)"
-go run ./cmd/itcbench -quick -run E15 -timeline-out "$tmpdir/t1.txt" -series-out "$tmpdir/s1.csv" >/dev/null
-go run ./cmd/itcbench -quick -run E15 -timeline-out "$tmpdir/t2.txt" -series-out "$tmpdir/s2.csv" >/dev/null
-cmp "$tmpdir/t1.txt" "$tmpdir/t2.txt"
-cmp "$tmpdir/s1.csv" "$tmpdir/s2.csv"
+"$itcbench" -quick -run E15 -out "$tmpdir/r1" >/dev/null
+"$itcbench" -quick -run E15 -out "$tmpdir/r2" >/dev/null
+cmp "$tmpdir/r1/timeline.txt" "$tmpdir/r2/timeline.txt"
+cmp "$tmpdir/r1/series.csv" "$tmpdir/r2/series.csv"
 rm -rf "$tmpdir"
 
 # Replication determinism smoke: two same-seed E16 runs must produce
@@ -79,8 +84,8 @@ go test -run='^TestWALCrashProperty$' -count=1 ./internal/store/walstore
 # trajectory cannot silently drift from what the tool produces. Values are
 # machine-dependent and deliberately not compared.
 tmpdir="$(mktemp -d)"
-go run ./cmd/itcbench -run E14 -clients 10000 -quick -scale-out "$tmpdir/scale.json" >/dev/null
-grep -o '"[a-z_]*":' "$tmpdir/scale.json" | sort -u > "$tmpdir/keys_new.txt"
+"$itcbench" -run SCALE -clients 10000 -quick -out "$tmpdir" >/dev/null
+grep -o '"[a-z_]*":' "$tmpdir/BENCH_scale.json" | sort -u > "$tmpdir/keys_new.txt"
 grep -o '"[a-z_]*":' BENCH_scale.json | sort -u > "$tmpdir/keys_committed.txt"
 cmp "$tmpdir/keys_new.txt" "$tmpdir/keys_committed.txt"
 rm -rf "$tmpdir"
@@ -92,13 +97,14 @@ rm -rf "$tmpdir"
 # attribution — and the JSON it emits must carry exactly the same keys as
 # the committed BENCH_obs.json. Values are machine-dependent and
 # deliberately not compared; the committed 30k overhead numbers are
-# regenerated with: go run ./cmd/itcbench -run E17 -scale-reps 5 -obs-out BENCH_obs.json
+# regenerated with: go run ./cmd/itcbench -run E17 -reps 5 -out .
 tmpdir="$(mktemp -d)"
-go run ./cmd/itcbench -run E17 -clients 10000 -obs-out "$tmpdir/obs.json" >/dev/null
-grep -o '"[a-z_]*":' "$tmpdir/obs.json" | sort -u > "$tmpdir/keys_new.txt"
+"$itcbench" -run E17 -clients 10000 -out "$tmpdir" >/dev/null
+grep -o '"[a-z_]*":' "$tmpdir/BENCH_obs.json" | sort -u > "$tmpdir/keys_new.txt"
 grep -o '"[a-z_]*":' BENCH_obs.json | sort -u > "$tmpdir/keys_committed.txt"
 cmp "$tmpdir/keys_new.txt" "$tmpdir/keys_committed.txt"
 rm -rf "$tmpdir"
+rm -rf "$bindir"
 
 # Observability zero-alloc gates, visible as their own pass: the sampled-out
 # trace path and the striped-counter hot path must not allocate (these also

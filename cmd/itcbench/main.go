@@ -1,22 +1,33 @@
 // Command itcbench regenerates the paper's evaluation (§5.2): every
-// quantitative claim has an experiment (E1–E13) that runs the corresponding
-// workload on the simulated cell and prints a paper-vs-measured table.
+// quantitative claim has an experiment (E1–E17; E12, the chaos suite, runs
+// as tests in internal/fault) that runs the corresponding workload on the
+// simulated cell and prints a paper-vs-measured table, and SCALE measures
+// the simulator itself.
 //
 // Usage:
 //
-//	itcbench            # run the standard suite (a few minutes of CPU)
+//	itcbench            # run the standard suite (all but SCALE and E17)
 //	itcbench -quick     # scaled-down versions of everything
 //	itcbench -full      # the paper-sized deployment (120 WS, 8-hour day)
 //	itcbench -run E4    # one experiment (comma-separated list accepted)
-//	itcbench -run E13 -trace -trace-out trace.json
-//	                    # also dump the traced benchmark as Chrome
-//	                    # trace-event JSON (load in Perfetto)
+//	itcbench -run E13,E15 -out DIR
+//	                    # also write the experiments' artifacts to DIR:
+//	                    # E13 trace.json (Chrome trace-event JSON of the
+//	                    # revised-mode Andrew run; load in Perfetto), E15
+//	                    # timeline.txt and series.csv/series.json, SCALE
+//	                    # BENCH_scale.json, E17 BENCH_obs.json
+//	itcbench -run SCALE -clients 1000,10000 -reps 3
+//	                    # -clients sets the client counts of E14, SCALE
+//	                    # and E17; -reps the best-of repetitions of the
+//	                    # last two
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -26,52 +37,51 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "scaled-down experiments (fast)")
-	full := flag.Bool("full", false, "paper-sized deployment (slow)")
-	run := flag.String("run", "", "comma-separated experiment IDs (default all)")
-	traceFlag := flag.Bool("trace", false, "export a Chrome trace of the instrumented benchmark")
-	traceOut := flag.String("trace-out", "trace.json", "trace output path (with -trace)")
-	timeline := flag.Bool("timeline", false, "print the E15 telemetry dashboard and flight recorder")
-	timelineOut := flag.String("timeline-out", "", "write the E15 dashboard and flight recorder to this file")
-	seriesOut := flag.String("series-out", "", "export the E15 time series (.json = JSON, otherwise CSV)")
-	clients := flag.String("clients", "", "comma-separated client counts for the kernel scale bench (implies -run SCALE; with -run E14 it replaces the protocol sweep)")
-	scaleOut := flag.String("scale-out", "", "write the scale bench result as BENCH_scale.json-format JSON to this path")
-	scaleReps := flag.Int("scale-reps", 1, "scale/obs bench measurement repetitions per client count (best-of)")
-	obsOut := flag.String("obs-out", "", "write the E17 observability bench result as BENCH_obs.json-format JSON to this path")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	want := map[string]bool{}
-	if *run != "" {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+// artifact is a file an experiment writes under -out.
+type artifact struct {
+	name  string
+	write func(io.Writer) error
+}
+
+type experiment struct {
+	id string
+	fn func() (*harness.Report, []artifact, error)
+}
+
+// report adapts an experiment without artifacts.
+func report(r *harness.Report, err error) (*harness.Report, []artifact, error) {
+	return r, nil, err
+}
+
+// run is main with explicit arguments, output streams and exit code, so the
+// command line can be tested in process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("itcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "scaled-down experiments (fast)")
+	full := fs.Bool("full", false, "paper-sized deployment (slow)")
+	runIDs := fs.String("run", "", "comma-separated experiment IDs (default: all but SCALE and E17)")
+	clientsFlag := fs.String("clients", "", "comma-separated client counts for E14, SCALE and E17")
+	reps := fs.Int("reps", 1, "SCALE and E17 measurement repetitions per client count (best-of)")
+	out := fs.String("out", "", "directory to write the selected experiments' artifacts to")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	var clients []int
+	if *clientsFlag != "" {
+		for _, s := range strings.Split(*clientsFlag, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(s))
+			if err != nil || n <= 0 {
+				fmt.Fprintf(stderr, "itcbench: bad -clients entry %q\n", s)
+				return 2
+			}
+			clients = append(clients, n)
 		}
 	}
-	if *clients != "" && !want["E17"] {
-		// -clients selects the scale bench: standalone, or in place of E14's
-		// protocol sweep when the caller asked for E14 (the CI smoke runs
-		// `-run E14 -clients 10000 -quick`). With -run E17 the counts feed
-		// the observability ablation instead.
-		delete(want, "E14")
-		want["SCALE"] = true
-	}
-	selected := func(id string) bool {
-		if len(want) == 0 {
-			// The default sweep regenerates the paper's evaluation; the SCALE
-			// and E17 benches measure the simulator itself (minutes at 30k
-			// clients) and run only on explicit request (-run SCALE/-clients,
-			// -run E17).
-			return id != "SCALE" && id != "E17"
-		}
-		return want[strings.ToUpper(id)]
-	}
 
-	type exp struct {
-		id string
-		fn func() (*harness.Report, error)
-	}
-	var e15 *harness.E15Result
-	var scaleRes *harness.ScaleBench
-	var obsRes *harness.ObsBench
 	scale := 1.0
 	if *quick {
 		scale = 0.25
@@ -88,15 +98,15 @@ func main() {
 		return u
 	}
 
-	experiments := []exp{
-		{"E1", func() (*harness.Report, error) {
+	experiments := []experiment{
+		{"E1", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE1()
 			cfg.Load.UsersPer = users(20)
 			cfg.Warm = dur(30 * time.Minute)
 			cfg.Measure = dur(2 * time.Hour)
-			return harness.E1CallMix(cfg)
+			return report(harness.E1CallMix(cfg))
 		}},
-		{"E2", func() (*harness.Report, error) {
+		{"E2", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE2()
 			if *quick {
 				cfg.Load.Clusters = 2
@@ -105,19 +115,19 @@ func main() {
 			if *full {
 				cfg.Measure = 8 * time.Hour
 			}
-			return harness.E2Utilization(cfg)
+			return report(harness.E2Utilization(cfg))
 		}},
-		{"E3", func() (*harness.Report, error) {
+		{"E3", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE3()
 			cfg.Load.UsersPer = users(20)
 			cfg.Warm = dur(30 * time.Minute)
 			cfg.Measure = dur(time.Hour)
-			return harness.E3HitRatio(cfg)
+			return report(harness.E3HitRatio(cfg))
 		}},
-		{"E4", func() (*harness.Report, error) {
-			return harness.E4AndrewBenchmark(harness.DefaultE4())
+		{"E4", func() (*harness.Report, []artifact, error) {
+			return report(harness.E4AndrewBenchmark(harness.DefaultE4()))
 		}},
-		{"E4r", func() (*harness.Report, error) {
+		{"E4r", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE4()
 			cfg.Mode = itcfs.Revised
 			r, err := harness.E4AndrewBenchmark(cfg)
@@ -125,9 +135,9 @@ func main() {
 				r.ID = "E4r"
 				r.Title += " (revised implementation)"
 			}
-			return r, err
+			return r, nil, err
 		}},
-		{"E5", func() (*harness.Report, error) {
+		{"E5", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE5()
 			if *quick {
 				cfg.LoadWS = []int{0, 10, 20}
@@ -135,43 +145,50 @@ func main() {
 			if *full {
 				cfg.LoadWS = []int{0, 5, 10, 20, 30, 40, 50}
 			}
-			return harness.E5Scalability(cfg)
+			return report(harness.E5Scalability(cfg))
 		}},
-		{"E6", func() (*harness.Report, error) {
+		{"E6", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE6()
 			cfg.UsersPer = users(20)
 			cfg.Warm = dur(30 * time.Minute)
 			cfg.Measure = dur(time.Hour)
-			return harness.E6ValidationAblation(cfg)
+			return report(harness.E6ValidationAblation(cfg))
 		}},
-		{"E7", func() (*harness.Report, error) {
-			return harness.E7PathnameAblation(harness.DefaultE7())
+		{"E7", func() (*harness.Report, []artifact, error) {
+			return report(harness.E7PathnameAblation(harness.DefaultE7()))
 		}},
-		{"E8", func() (*harness.Report, error) {
-			return harness.E8WholeFileVsPaged(harness.DefaultE8())
+		{"E8", func() (*harness.Report, []artifact, error) {
+			return report(harness.E8WholeFileVsPaged(harness.DefaultE8()))
 		}},
-		{"E9", func() (*harness.Report, error) {
+		{"E9", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE9()
 			cfg.Readers = users(10)
-			return harness.E9ReadOnlyReplication(cfg)
+			return report(harness.E9ReadOnlyReplication(cfg))
 		}},
-		{"E10", func() (*harness.Report, error) {
-			return harness.E10Revocation(harness.DefaultE10())
+		{"E10", func() (*harness.Report, []artifact, error) {
+			return report(harness.E10Revocation(harness.DefaultE10()))
 		}},
-		{"E11", func() (*harness.Report, error) {
-			return harness.E11Rebalance(harness.DefaultE11())
+		{"E11", func() (*harness.Report, []artifact, error) {
+			return report(harness.E11Rebalance(harness.DefaultE11()))
 		}},
-		{"E13", func() (*harness.Report, error) {
-			return harness.E13LatencyBreakdown(harness.DefaultE13())
+		{"E13", func() (*harness.Report, []artifact, error) {
+			r, revised, err := harness.E13LatencyBreakdown(harness.DefaultE13())
+			if err != nil {
+				return nil, nil, err
+			}
+			return r, []artifact{{"trace.json", revised.ExportChrome}}, nil
 		}},
-		{"E14", func() (*harness.Report, error) {
+		{"E14", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE14()
 			if *quick {
 				cfg.Clients = []int{25, 50}
 			}
-			return harness.E14Scalability(cfg)
+			if clients != nil {
+				cfg.Clients = clients
+			}
+			return report(harness.E14Scalability(cfg))
 		}},
-		{"E15", func() (*harness.Report, error) {
+		{"E15", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE15()
 			if *quick {
 				cfg.Cadence = 15 * time.Second
@@ -180,12 +197,18 @@ func main() {
 			}
 			res, err := harness.E15HotVolume(cfg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			e15 = res
-			return res.Report, nil
+			return res.Report, []artifact{
+				{"timeline.txt", func(w io.Writer) error {
+					_, err := io.WriteString(w, res.Timeline+"\n"+res.Flight)
+					return err
+				}},
+				{"series.csv", res.Cell.Sampler.WriteCSV},
+				{"series.json", res.Cell.Sampler.WriteJSON},
+			}, nil
 		}},
-		{"E16", func() (*harness.Report, error) {
+		{"E16", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE16()
 			if *quick {
 				cfg.Window = 3 * time.Minute
@@ -193,154 +216,107 @@ func main() {
 			}
 			res, err := harness.E16Replication(cfg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return res.Report, nil
+			return res.Report, nil, nil
 		}},
-		{"E17", func() (*harness.Report, error) {
+		{"E17", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE17()
-			if *clients != "" {
-				cfg.Clients = nil
-				for _, s := range strings.Split(*clients, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(s))
-					if err != nil || n <= 0 {
-						return nil, fmt.Errorf("bad -clients entry %q", s)
-					}
-					cfg.Clients = append(cfg.Clients, n)
-				}
+			if clients != nil {
+				cfg.Clients = clients
 			}
-			cfg.Reps = *scaleReps
+			cfg.Reps = *reps
 			ob, err := harness.RunObsBench(cfg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			obsRes = ob
-			return ob.Report(), nil
+			return ob.Report(), []artifact{{"BENCH_obs.json", ob.WriteJSON}}, nil
 		}},
-		{"SCALE", func() (*harness.Report, error) {
+		{"SCALE", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultScaleBench()
-			if *clients != "" {
-				cfg.Clients = nil
-				for _, s := range strings.Split(*clients, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(s))
-					if err != nil || n <= 0 {
-						return nil, fmt.Errorf("bad -clients entry %q", s)
-					}
-					cfg.Clients = append(cfg.Clients, n)
-				}
+			if clients != nil {
+				cfg.Clients = clients
 			}
 			cfg.Quick = *quick
-			cfg.Reps = *scaleReps
+			cfg.Reps = *reps
 			sb, err := harness.RunScaleBench(cfg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			scaleRes = sb
-			return sb.Report(), nil
+			return sb.Report(), []artifact{{"BENCH_scale.json", sb.WriteJSON}}, nil
 		}},
 	}
 
-	fmt.Println("itcbench — reproduction of 'The ITC Distributed File System' (SOSP 1985), §5.2")
+	// The default sweep regenerates the paper's evaluation; SCALE and E17
+	// measure the simulator itself (minutes at 30k clients) and run only on
+	// explicit request.
+	want := map[string]bool{}
+	for _, e := range experiments {
+		want[strings.ToUpper(e.id)] = *runIDs == "" && e.id != "SCALE" && e.id != "E17"
+	}
+	if *runIDs != "" {
+		for _, id := range strings.Split(*runIDs, ",") {
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if _, ok := want[id]; !ok {
+				valid := make([]string, len(experiments))
+				for i, e := range experiments {
+					valid[i] = e.id
+				}
+				fmt.Fprintf(stderr, "itcbench: unknown experiment %q (valid: %s)\n", id, strings.Join(valid, ", "))
+				return 2
+			}
+			want[id] = true
+		}
+	}
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			fmt.Fprintf(stderr, "itcbench: %v\n", err)
+			return 1
+		}
+	}
+
+	fmt.Fprintln(stdout, "itcbench — reproduction of 'The ITC Distributed File System' (SOSP 1985), §5.2")
 	failed := 0
 	for _, e := range experiments {
-		if !selected(e.id) {
+		if !want[strings.ToUpper(e.id)] {
 			continue
 		}
 		start := time.Now() //itcvet:allow wallclock -- reports how long the experiment took to simulate
-		r, err := e.fn()
+		r, artifacts, err := e.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
 			failed++
 			continue
 		}
-		r.Print(os.Stdout)
-		fmt.Printf("  (%.1fs wall clock)\n", time.Since(start).Seconds()) //itcvet:allow wallclock -- operator-facing elapsed time, not in any result
-	}
-	if *traceFlag {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		r.Print(stdout)
+		fmt.Fprintf(stdout, "  (%.1fs wall clock)\n", time.Since(start).Seconds()) //itcvet:allow wallclock -- operator-facing elapsed time, not in any result
+		if *out == "" {
+			continue
 		}
-		err = harness.ExportTracedAndrew(itcfs.Revised, harness.DefaultE13(), f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote Chrome trace of the revised-mode Andrew run to %s\n", *traceOut)
-	}
-	if *scaleOut != "" {
-		if scaleRes == nil {
-			fmt.Fprintln(os.Stderr, "scale-out: no scale bench result (run with -run SCALE or -clients, and check it succeeded)")
-			os.Exit(1)
-		}
-		f, err := os.Create(*scaleOut)
-		if err == nil {
-			err = scaleRes.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
+		for _, a := range artifacts {
+			path := filepath.Join(*out, a.name)
+			if err := writeFile(path, a.write); err != nil {
+				fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
+				failed++
+				continue
 			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote kernel scale bench to %s\n", *scaleOut)
-	}
-	if *obsOut != "" {
-		if obsRes == nil {
-			fmt.Fprintln(os.Stderr, "obs-out: no observability bench result (run with -run E17, and check it succeeded)")
-			os.Exit(1)
-		}
-		f, err := os.Create(*obsOut)
-		if err == nil {
-			err = obsRes.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "obs-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote observability bench to %s\n", *obsOut)
-	}
-	if *timeline || *timelineOut != "" || *seriesOut != "" {
-		if e15 == nil {
-			fmt.Fprintln(os.Stderr, "timeline: no E15 result (run with -run E15, and check it succeeded)")
-			os.Exit(1)
-		}
-		if *timeline {
-			fmt.Print("\n" + e15.Timeline + "\n" + e15.Flight)
-		}
-		if *timelineOut != "" {
-			if err := os.WriteFile(*timelineOut, []byte(e15.Timeline+"\n"+e15.Flight), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *seriesOut != "" {
-			f, err := os.Create(*seriesOut)
-			if err == nil {
-				if strings.HasSuffix(*seriesOut, ".json") {
-					err = e15.Cell.Sampler.WriteJSON(f)
-				} else {
-					err = e15.Cell.Sampler.WriteCSV(f)
-				}
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "series: %v\n", err)
-				os.Exit(1)
-			}
+			fmt.Fprintf(stdout, "  wrote %s\n", path)
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

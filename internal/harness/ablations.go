@@ -108,16 +108,8 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 	var sides [2]side
 	for i, mode := range []itcfs.Mode{itcfs.Prototype, itcfs.Revised} {
 		cell := itcfs.NewCell(itcfs.CellConfig{Mode: mode, Clusters: 1})
-		var err error
-		cell.Run(func(p *sim.Proc) {
-			admin, aerr := cell.Admin(p, 0)
-			if aerr != nil {
-				err = aerr
-				return
-			}
-			if err = admin.NewUser(p, "deep", "pw", 0); err != nil {
-				return
-			}
+		err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+			return admin.NewUser(p, "deep", "pw", 0)
 		})
 		if err != nil {
 			return nil, err
@@ -213,14 +205,8 @@ func DefaultE8() E8Config {
 func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 	// Whole-file side: a standard cell.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Revised, Clusters: 1})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		err = admin.NewUser(p, "u", "pw", 0)
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		return admin.NewUser(p, "u", "pw", 0)
 	})
 	if err != nil {
 		return nil, err
@@ -396,41 +382,35 @@ func DefaultE9() E9Config {
 func E9ReadOnlyReplication(cfg E9Config) (*Report, error) {
 	run := func(replicate bool) (backbone int64, custodianFetch, replicaFetch int64, mean time.Duration, err error) {
 		cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Revised, Clusters: 2})
-		var vid uint32
-		cell.Run(func(p *sim.Proc) {
-			admin, aerr := cell.Admin(p, 0)
-			if aerr != nil {
-				err = aerr
-				return
+		err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+			if err := admin.MkdirAll(p, "/unix"); err != nil {
+				return err
 			}
-			if err = admin.MkdirAll(p, "/unix"); err != nil {
-				return
-			}
-			if vid, err = admin.CreateVolume(p, "sys.bin", "/unix/bin", "operator", 0); err != nil {
-				return
+			vid, err := admin.CreateVolume(p, "sys.bin", "/unix/bin", "operator", 0)
+			if err != nil {
+				return err
 			}
 			op := cell.AddWorkstation(0, "op")
-			if err = op.Login(p, "operator", "operator-password"); err != nil {
-				return
+			if err := op.Login(p, "operator", "operator-password"); err != nil {
+				return err
 			}
 			for i := 0; i < cfg.Binaries; i++ {
 				data := make([]byte, 20<<10)
-				if err = op.FS.WriteFile(p, fmt.Sprintf("/vice/unix/bin/b%02d", i), data); err != nil {
-					return
+				if err := op.FS.WriteFile(p, fmt.Sprintf("/vice/unix/bin/b%02d", i), data); err != nil {
+					return err
 				}
 			}
-			mountAt := "/unix/bin"
 			if replicate {
-				mountAt = "/unix/bin-ro"
-				if _, err = admin.CloneVolume(p, vid, mountAt, "server1"); err != nil {
-					return
+				if _, err := admin.CloneVolume(p, vid, "/unix/bin-ro", "server1"); err != nil {
+					return err
 				}
 			}
 			for u := 0; u < cfg.Readers; u++ {
-				if err = admin.NewUser(p, fmt.Sprintf("reader%d", u), "pw", 0); err != nil {
-					return
+				if err := admin.NewUser(p, fmt.Sprintf("reader%d", u), "pw", 0); err != nil {
+					return err
 				}
 			}
+			return nil
 		})
 		if err != nil {
 			return
@@ -518,29 +498,24 @@ func DefaultE10() E10Config {
 // revocation mechanism.
 func E10Revocation(cfg E10Config) (*Report, error) {
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Prototype, Clusters: cfg.Servers})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		if err := admin.NewUser(p, "victim", "pw", 0); err != nil {
+			return err
 		}
-		if err = admin.NewUser(p, "victim", "pw", 0); err != nil {
-			return
-		}
-		if err = admin.NewUser(p, "owner", "pw", 0); err != nil {
-			return
+		if err := admin.NewUser(p, "owner", "pw", 0); err != nil {
+			return err
 		}
 		// The victim gets access through several nested groups.
 		for g := 0; g < cfg.Groups; g++ {
 			name := fmt.Sprintf("grp%d", g)
-			if err = admin.Protect(p, prot.Mutation{Kind: prot.MutAddGroup, Name: name, Owner: "owner"}); err != nil {
-				return
+			if err := admin.Protect(p, prot.Mutation{Kind: prot.MutAddGroup, Name: name, Owner: "owner"}); err != nil {
+				return err
 			}
-			if err = admin.Protect(p, prot.Mutation{Kind: prot.MutAddMember, Name: name, Member: "victim"}); err != nil {
-				return
+			if err := admin.Protect(p, prot.Mutation{Kind: prot.MutAddMember, Name: name, Member: "victim"}); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -555,7 +530,7 @@ func E10Revocation(cfg E10Config) (*Report, error) {
 		for g := 0; g < cfg.Groups; g++ {
 			acl.Grant(fmt.Sprintf("grp%d", g), prot.RightsAll)
 		}
-		if err = owner.Venus.SetACL(p, "/usr/owner", itcfsACL(acl)); err != nil {
+		if err = owner.Venus.SetACL(p, "/usr/owner", proto.ACLEncode(acl)); err != nil {
 			return
 		}
 		err = owner.FS.WriteFile(p, "/vice/usr/owner/doc", []byte("sensitive"))
@@ -577,7 +552,7 @@ func E10Revocation(cfg E10Config) (*Report, error) {
 		}
 		acl.Deny("victim", prot.RightsAll)
 		t0 := p.Now()
-		err = owner.Venus.SetACL(p, "/usr/owner", itcfsACL(acl))
+		err = owner.Venus.SetACL(p, "/usr/owner", proto.ACLEncode(acl))
 		negTime = p.Now().Sub(t0)
 	})
 	if err != nil {
@@ -589,21 +564,17 @@ func E10Revocation(cfg E10Config) (*Report, error) {
 	// each replicated to every server.
 	dbCalls0 := totalCalls(cell)
 	var dbTime time.Duration
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
+	err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		t0 := p.Now()
 		for g := 0; g < cfg.Groups; g++ {
-			if err = admin.Protect(p, prot.Mutation{
+			if err := admin.Protect(p, prot.Mutation{
 				Kind: prot.MutRemoveMember, Name: fmt.Sprintf("grp%d", g), Member: "victim",
 			}); err != nil {
-				return
+				return err
 			}
 		}
 		dbTime = p.Now().Sub(t0)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -647,6 +618,3 @@ func totalCalls(cell *itcfs.Cell) int64 {
 	}
 	return n
 }
-
-// itcfsACL encodes an ACL for the Venus SetACL API.
-func itcfsACL(a prot.ACL) []byte { return proto.ACLEncode(a) }

@@ -6,7 +6,6 @@ import (
 
 	"itcfs"
 	"itcfs/internal/sim"
-	"itcfs/internal/vice"
 	"itcfs/internal/workload"
 )
 
@@ -192,17 +191,10 @@ func DefaultE4() E4Config {
 func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 	// Local run: source and target both on the workstation's own disk.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: cfg.Mode, Clusters: 1})
-	var provisionErr error
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
-		if err != nil {
-			provisionErr = err
-			return
-		}
-		provisionErr = admin.NewUser(p, "bench", "pw", 0)
-	})
-	if provisionErr != nil {
-		return nil, provisionErr
+	if err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		return admin.NewUser(p, "bench", "pw", 0)
+	}); err != nil {
+		return nil, err
 	}
 
 	runOne := func(ws *itcfs.Workstation, src, dst string, generate bool) (workload.PhaseTimes, error) {
@@ -345,17 +337,10 @@ func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
 		return 0, 0, err
 	}
 	cell := lc.Cell
-	var provisionErr error
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
-		if err != nil {
-			provisionErr = err
-			return
-		}
-		provisionErr = admin.NewUser(p, "bench", "pw", 0)
-	})
-	if provisionErr != nil {
-		return 0, 0, provisionErr
+	if err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		return admin.NewUser(p, "bench", "pw", 0)
+	}); err != nil {
+		return 0, 0, err
 	}
 	ws := cell.AddWorkstation(0, "bench-ws")
 
@@ -401,6 +386,3 @@ func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
 	cpu, _ := lc.windowUtil(cell.Servers[0])
 	return bench.Total(), cpu, nil
 }
-
-// ModeString names a mode for table rows.
-func ModeString(m itcfs.Mode) string { return vice.Mode(m).String() }

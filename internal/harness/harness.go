@@ -15,6 +15,15 @@
 //	E8  whole-file vs page-at-a-time       (protocol overhead, crossover)
 //	E9  read-only replication              (locality, load spread)
 //	E10 negative rights vs database update (rapid revocation)
+//	E11 monitoring and volume rebalancing  (§3.6)
+//	E13 traced critical-path breakdown     (server time bounds the prototype)
+//	E14 batched callback/revalidation      (the E14 campus, one cluster)
+//	E15 saturation timeline + volume move  (CPU peaks to 98%)
+//	E16 read-only replication failover     (availability, dedup)
+//	E17 tracing overhead + SLO breach      (sharded campus, hot-volume cell)
+//	SCALE simulator cost per client-hour   (the E14 campus, sharded past 1k)
+//
+// E12, the chaos suite, runs as tests in internal/fault.
 package harness
 
 import (
@@ -92,6 +101,27 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 // secs formats a duration in whole seconds.
 func secs(d time.Duration) string { return fmt.Sprintf("%.0f s", d.Seconds()) }
 
+// asAdmin runs step as the cell administrator in one kernel run.
+func asAdmin(cell *itcfs.Cell, step func(*sim.Proc, *itcfs.Admin) error) error {
+	var err error
+	cell.Run(func(p *sim.Proc) {
+		var admin *itcfs.Admin
+		if admin, err = cell.Admin(p, 0); err == nil {
+			err = step(p, admin)
+		}
+	})
+	return err
+}
+
+// loggedIn adds a workstation to a cluster and logs user in on it, in a
+// kernel run of its own.
+func loggedIn(cell *itcfs.Cell, cluster int, name, user, password string) (*itcfs.Workstation, error) {
+	ws := cell.AddWorkstation(cluster, name)
+	var err error
+	cell.Run(func(p *sim.Proc) { err = ws.Login(p, user, password) })
+	return ws, err
+}
+
 // LoadedCell is a provisioned cell with system binaries and per-user home
 // volumes, ready for synthetic load.
 type LoadedCell struct {
@@ -145,31 +175,21 @@ func BuildLoadedCell(cfg LoadConfig) (*LoadedCell, error) {
 		CacheBytes: cfg.CacheBytes,
 	})
 	lc := &LoadedCell{Cell: cell, SysRoot: cfg.Drive.SysRoot, marks: make(map[*itcfs.Server]windowMark)}
-	var setupErr error
-	cell.Run(func(p *sim.Proc) {
-		admin, err := cell.Admin(p, 0)
-		if err != nil {
-			setupErr = err
-			return
-		}
+	setupErr := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		if err := admin.MkdirAll(p, "/unix"); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		sysVol, err := admin.CreateVolume(p, "sys.bin", cfg.Drive.SysRoot, "operator", 0)
 		if err != nil {
-			setupErr = fmt.Errorf("system volume: %w", err)
-			return
+			return fmt.Errorf("system volume: %w", err)
 		}
 		opWS := cell.AddWorkstation(0, "op-console")
 		if err := opWS.Login(p, "operator", "operator-password"); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		r := rand.New(rand.NewSource(cfg.Seed))
 		if err := workload.PopulateSystem(p, opWS.FS, cfg.Drive, r); err != nil {
-			setupErr = err
-			return
+			return err
 		}
 		if cfg.ReplicateSys {
 			// Release the binaries as a read-only clone replicated to
@@ -180,8 +200,7 @@ func BuildLoadedCell(cfg LoadConfig) (*LoadedCell, error) {
 			}
 			roRoot := cfg.Drive.SysRoot + "-ro"
 			if _, err := admin.CloneVolume(p, sysVol, roRoot, replicas...); err != nil {
-				setupErr = fmt.Errorf("replicate system volume: %w", err)
-				return
+				return fmt.Errorf("replicate system volume: %w", err)
 			}
 			lc.SysRoot = roRoot
 		}
@@ -193,12 +212,12 @@ func BuildLoadedCell(cfg LoadConfig) (*LoadedCell, error) {
 				// references (§3.1).
 				home := cell.Servers[c].Vice.Name()
 				if _, err := admin.NewUserAt(p, name, "pw-"+name, 0, home); err != nil {
-					setupErr = fmt.Errorf("provision %s: %w", name, err)
-					return
+					return fmt.Errorf("provision %s: %w", name, err)
 				}
 				lc.Users = append(lc.Users, name)
 			}
 		}
+		return nil
 	})
 	if setupErr != nil {
 		return nil, setupErr

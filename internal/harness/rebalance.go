@@ -32,19 +32,14 @@ func DefaultE11() E11Config {
 // automated up to the human decision.
 func E11Rebalance(cfg E11Config) (*Report, error) {
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Prototype, Clusters: 2})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		for i := 0; i < cfg.Movers; i++ {
 			// Volumes created on server0 — but the users work in cluster 1.
-			if _, err = admin.NewUserAt(p, fmt.Sprintf("mover%d", i), "pw", 0, ""); err != nil {
-				return
+			if err := admin.NewUser(p, fmt.Sprintf("mover%d", i), "pw", 0); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -104,17 +99,13 @@ func E11Rebalance(cfg E11Config) (*Report, error) {
 		return nil, fmt.Errorf("E11: advisor produced no recommendations")
 	}
 	// The operator applies every recommendation.
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
+	err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		for _, r := range recs {
-			if err = admin.MoveVolume(p, r.Volume, r.To); err != nil {
-				return
+			if err := admin.MoveVolume(p, r.Volume, r.To); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

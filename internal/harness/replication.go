@@ -47,7 +47,7 @@ type E16Config struct {
 // while readers in every cluster and an Andrew run are consuming the
 // released tree.
 func DefaultE16() E16Config {
-	andrew := DefaultAndrew()
+	andrew := workload.DefaultAndrew()
 	andrew.Files = 24
 	andrew.Dirs = 3
 	andrew.MeanFileBytes = 4 << 10
@@ -70,10 +70,6 @@ func DefaultE16() E16Config {
 		FlightEvents:      512,
 	}
 }
-
-// DefaultAndrew re-exports the calibrated Andrew shape for configs built on
-// it.
-func DefaultAndrew() workload.AndrewConfig { return workload.DefaultAndrew() }
 
 // E16Result is the experiment outcome plus the two cells, kept alive so
 // tests can inspect metrics and flight recorders.
@@ -214,20 +210,16 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	drive.SysFiles = cfg.SysFiles
 	srcRW := "/vice" + drive.SysRoot + "/src"
 	var sysVol uint32
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		if err := admin.MkdirAll(p, "/unix"); err != nil {
+			return err
 		}
-		if err = admin.MkdirAll(p, "/unix"); err != nil {
-			return
-		}
+		var err error
 		if sysVol, err = admin.CreateVolume(p, "sys.bin", drive.SysRoot, "operator", 0); err != nil {
-			return
+			return err
 		}
 		_, err = admin.NewUserAt(p, "andrew", "pw", 0, cell.Servers[1].Vice.Name())
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("provision: %w", err)
@@ -256,13 +248,9 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 			replicas = append(replicas, s.Vice.Name())
 		}
 	}
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		_, err = admin.CloneVolume(p, sysVol, roRoot, replicas...)
+	err = asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		_, err := admin.CloneVolume(p, sysVol, roRoot, replicas...)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("release: %w", err)
@@ -279,17 +267,14 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	var readers []station
 	for c := 0; c < cfg.Clusters; c++ {
 		for i := 0; i < cfg.ReadersPerCluster; i++ {
-			ws := cell.AddWorkstation(c, fmt.Sprintf("read%d-%d", c, i))
-			var lerr error
-			cell.Run(func(p *sim.Proc) { lerr = ws.Login(p, "operator", "operator-password") })
-			if lerr != nil {
-				return nil, lerr
+			ws, err := loggedIn(cell, c, fmt.Sprintf("read%d-%d", c, i), "operator", "operator-password")
+			if err != nil {
+				return nil, err
 			}
 			readers = append(readers, station{ws: ws, local: replicate && c > 0})
 		}
 	}
-	andrewWS := cell.AddWorkstation(1, "andrew-ws")
-	cell.Run(func(p *sim.Proc) { err = andrewWS.Login(p, "andrew", "pw") })
+	andrewWS, err := loggedIn(cell, 1, "andrew-ws", "andrew", "pw")
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"itcfs/internal/rpc"
 	"itcfs/internal/sim"
 	"itcfs/internal/trace"
-	"itcfs/internal/venus"
 	"itcfs/internal/workload"
 )
 
@@ -27,16 +26,10 @@ import (
 type E14Config struct {
 	Clients []int // client counts to sweep (e.g. 100, 300, 1000)
 	Seed    int64
-	Scale   workload.ScaleConfig // per-client mix (Seed field is overridden)
+	Scale   workload.ScaleConfig // per-client mix (Seed and Root are derived per cluster)
 	// CallbackTTL bounds promise trust so the periodic sweeps have entries
 	// to revalidate.
 	CallbackTTL time.Duration
-	// LoginStagger spreads client logins uniformly over this ramp. Zero
-	// keeps the original all-at-once login (fine into the low thousands);
-	// the kernel scale bench sets it, because tens of thousands of
-	// simultaneous handshakes against one server exceed any retry budget —
-	// and real workstation populations don't power on in the same instant.
-	LoginStagger time.Duration
 }
 
 // DefaultE14 returns the standard configuration.
@@ -52,6 +45,17 @@ func DefaultE14() E14Config {
 	}
 }
 
+// quickE14 is DefaultE14 with a lighter per-client mix of the same shape:
+// enough ops to touch every hot path (browse, hot-set reads, bursts,
+// sweeps), few enough that a 10k-client smoke fits in CI.
+func quickE14() E14Config {
+	cfg := DefaultE14()
+	cfg.Scale.Ops = 10
+	cfg.Scale.Browse = 4
+	cfg.Scale.Stagger = 2 * time.Hour
+	return cfg
+}
+
 // e14Side is one (client count, protocol) measurement.
 type e14Side struct {
 	util       float64       // server CPU utilization over the run
@@ -60,7 +64,14 @@ type e14Side struct {
 	breakRPCs  int64         // callback RPCs delivering them
 	revalRPCs  int64         // revalidation round trips (TestValid + BulkTestValid)
 	revalItems int64         // cached entries revalidated by sweeps
-	elapsed    time.Duration // virtual time the client phase took
+}
+
+// unbatched switches a campus to the legacy protocol: one callback RPC per
+// broken promise, one TestValid per revalidated entry.
+func unbatched(cc *itcfs.CellConfig) {
+	cc.UnbatchedBreaks = true
+	cc.RevalidateBatch = 1
+	cc.BreakWindow = 0
 }
 
 // E14Scalability runs the sweep and reports unbatched vs. batched columns
@@ -75,12 +86,12 @@ func E14Scalability(cfg E14Config) (*Report, error) {
 		"clients · metric", "unbatched", "batched")
 	for _, n := range cfg.Clients {
 		var sides [2]e14Side
-		for i, batched := range []bool{false, true} {
-			s, err := e14Run(cfg, n, batched)
+		for i, mut := range []func(*itcfs.CellConfig){unbatched, nil} {
+			c, err := runCampus(cfg, n, 1, mut)
 			if err != nil {
 				return nil, err
 			}
-			sides[i] = s
+			sides[i] = c.e14Side()
 		}
 		un, ba := sides[0], sides[1]
 		row := func(metric, a, b string) {
@@ -115,117 +126,137 @@ func ratio(a, b int64) string {
 	return fmt.Sprintf("%.2f", float64(a)/float64(b))
 }
 
-// e14Run measures one point: n clients against one cluster server, batched
-// or legacy protocol.
-func e14Run(cfg E14Config, n int, batched bool) (e14Side, error) {
-	scale := cfg.Scale
-	scale.Seed = cfg.Seed
-	reg := trace.NewRegistry()
+// campus is one run of the E14 mix: the cell, its client workstations, the
+// virtual time the client phase took, and server0's counters when it began.
+type campus struct {
+	cell                *itcfs.Cell
+	ws                  []*itcfs.Workstation
+	elapsed             time.Duration
+	cpu0                time.Duration
+	breaks0, breakRPCs0 int64
+}
+
+// runCampus drives the E14 mix at n clients over the given number of
+// clusters, clients round-robin over them. Each cluster has its own load
+// user, shared pool, publisher (the cluster's client 0) and seed, like
+// independent buildings on one campus; a setup workstation per cluster
+// writes the pool and then stays idle, so every client starts cold and
+// every client's copy is broken when a writer strikes. One cluster is the
+// E14 campus: load user "load", every client logging in at once. A sharded
+// campus names its load users load0…k-1 and ramps arrivals (see
+// scaleArrivalSpacing). mut, when non-nil, adjusts the cell configuration
+// before the cell is built — how E14 switches protocols and E17 ablates
+// tracing over the identical workload.
+func runCampus(cfg E14Config, n, clusters int, mut func(*itcfs.CellConfig)) (*campus, error) {
 	cc := itcfs.CellConfig{
 		Mode:        itcfs.Revised,
-		Clusters:    1,
+		Clusters:    clusters,
 		CallbackTTL: cfg.CallbackTTL,
-		Metrics:     reg,
-		Retry:       e14Retry(),
-	}
-	if !batched {
-		cc.UnbatchedBreaks = true
-		cc.RevalidateBatch = 1
-	} else {
+		Metrics:     trace.NewRegistry(),
+		// Patient retries: load spikes (a burst's refetch wave) can push
+		// queueing past one call timeout.
+		Retry: rpc.RetryPolicy{Attempts: 4, Backoff: 15 * time.Second, MaxBackoff: 2 * time.Minute},
 		// Let a busy server linger a few seconds before each BulkBreak
 		// drain: install bursts serialize on server CPU, so their breaks
 		// for one workstation arrive seconds apart and need a window that
 		// wide to share RPCs. Updates still reply only after delivery.
-		cc.BreakWindow = 8 * time.Second
+		BreakWindow: 8 * time.Second,
+	}
+	if mut != nil {
+		mut(&cc)
 	}
 	cell := itcfs.NewCell(cc)
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		admin, aerr := cell.Admin(p, 0)
-		if aerr != nil {
-			err = aerr
-			return
-		}
-		err = admin.NewUser(p, "load", "pw", 0)
-	})
-	if err != nil {
-		return e14Side{}, err
+
+	sharded := clusters > 1
+	stagger := cfg.Scale.Stagger
+	loadUser := func(int) string { return "load" }
+	if sharded {
+		// Widen the arrival ramp (login spawn ramp plus each client's own
+		// start stagger) so arrivals never exceed the shared-root
+		// custodian's sustainable rate — workstation populations this size
+		// don't power on at one instant anyway.
+		stagger = max(stagger, time.Duration(n)*scaleArrivalSpacing)
+		loadUser = func(c int) string { return fmt.Sprintf("load%d", c) }
+	}
+	perCluster := func(c int) workload.ScaleConfig {
+		sc := cfg.Scale
+		sc.Seed = cfg.Seed + int64(c)*1_000_003
+		sc.Root = "/vice/usr/" + loadUser(c) + "/shared"
+		sc.Stagger = stagger
+		return sc
 	}
 
-	// The pool is written by a setup workstation that then stays idle, so
-	// every client starts cold and every client's copy is broken when a
-	// writer strikes.
-	setup := cell.AddWorkstation(0, "setup")
-	cell.Run(func(p *sim.Proc) {
-		if err = setup.Login(p, "load", "pw"); err != nil {
-			return
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		for c := 0; c < clusters; c++ {
+			if _, err := admin.NewUserAt(p, loadUser(c), "pw", 0, cell.Servers[c].Vice.Name()); err != nil {
+				return err
+			}
 		}
-		r := rand.New(rand.NewSource(cfg.Seed))
-		err = workload.PopulateShared(p, setup.FS, scale, r)
+		return nil
 	})
+	for c := 0; c < clusters && err == nil; c++ {
+		setup, sc := cell.AddWorkstation(c, fmt.Sprintf("setup%d", c)), perCluster(c)
+		cell.Run(func(p *sim.Proc) {
+			if err = setup.Login(p, loadUser(c), "pw"); err == nil {
+				err = workload.PopulateShared(p, setup.FS, sc, rand.New(rand.NewSource(sc.Seed)))
+			}
+		})
+	}
 	if err != nil {
-		return e14Side{}, err
+		return nil, err
 	}
 
-	ws := make([]*itcfs.Workstation, n)
-	for i := range ws {
-		ws[i] = cell.AddWorkstation(0, fmt.Sprintf("scale-ws%04d", i))
+	run := &campus{cell: cell, ws: make([]*itcfs.Workstation, n)}
+	for i := range run.ws {
+		run.ws[i] = cell.AddWorkstation(i%clusters, fmt.Sprintf("scale-ws%05d", i))
 	}
 	srv := cell.Servers[0]
-	cpu0 := srv.CPU.BusyTime()
+	run.cpu0 = srv.CPU.BusyTime()
+	run.breaks0 = breaksOf(srv)
+	run.breakRPCs0 = srv.Vice.Callbacks().BreakRPCs()
 	t0 := cell.Now()
-	breaks0 := breaksOf(srv)
-	breakRPCs0 := srv.Vice.Callbacks().BreakRPCs()
-
 	errs := make([]error, n)
-	for i := range ws {
-		i := i
-		u := workload.NewScaleUser(i, scale)
-		start := cell.Now()
-		if cfg.LoginStagger > 0 {
-			start = start.Add(cfg.LoginStagger * time.Duration(i) / time.Duration(n))
+	for i, ws := range run.ws {
+		i, ws, c := i, ws, i%clusters
+		u := workload.NewScaleUser(i/clusters, perCluster(c))
+		start := t0
+		if sharded {
+			start = start.Add(stagger * time.Duration(i) / time.Duration(n))
 		}
-		cell.Kernel.SpawnAt(start, fmt.Sprintf("scale-%04d", i), func(p *sim.Proc) {
-			if lerr := ws[i].Login(p, "load", "pw"); lerr != nil {
-				errs[i] = lerr
-				return
+		cell.Kernel.SpawnAt(start, fmt.Sprintf("scale-%05d", i), func(p *sim.Proc) {
+			if errs[i] = ws.Login(p, loadUser(c), "pw"); errs[i] == nil {
+				errs[i] = u.Run(p, ws.FS, ws.Venus)
 			}
-			errs[i] = u.Run(p, ws[i].FS, ws[i].Venus)
 		})
 	}
 	cell.Kernel.Run()
 	for _, e := range errs {
 		if e != nil {
-			return e14Side{}, e
+			return nil, e
 		}
 	}
-
-	side := e14Side{elapsed: cell.Now().Sub(t0)}
-	if side.elapsed > 0 {
-		side.util = float64(srv.CPU.BusyTime()-cpu0) / float64(side.elapsed)
-	}
-	if h := reg.FindHistogram(trace.MetricVenusOpenLatency); h != nil {
-		side.p90 = h.Quantile(0.90)
-	}
-	side.breaks = breaksOf(srv) - breaks0
-	side.breakRPCs = srv.Vice.Callbacks().BreakRPCs() - breakRPCs0
-	var agg venus.Stats
-	for _, w := range ws {
-		st := w.Venus.Stats()
-		agg.Validations += st.Validations
-		agg.BulkValidations += st.BulkValidations
-		agg.Revalidated += st.Revalidated
-	}
-	side.revalRPCs = agg.Validations + agg.BulkValidations
-	side.revalItems = agg.Revalidated
-	return side, nil
+	run.elapsed = cell.Now().Sub(t0)
+	return run, nil
 }
 
-// e14Retry is the patient retry policy the E14 sweep and the kernel scale
-// bench share: load spikes (a burst's refetch wave) can push queueing past
-// one call timeout.
-func e14Retry() rpc.RetryPolicy {
-	return rpc.RetryPolicy{Attempts: 4, Backoff: 15 * time.Second, MaxBackoff: 2 * time.Minute}
+// e14Side reads E14's measurements off a single-cluster campus run.
+func (c *campus) e14Side() e14Side {
+	srv := c.cell.Servers[0]
+	var side e14Side
+	if c.elapsed > 0 {
+		side.util = float64(srv.CPU.BusyTime()-c.cpu0) / float64(c.elapsed)
+	}
+	if h := c.cell.Metrics.FindHistogram(trace.MetricVenusOpenLatency); h != nil {
+		side.p90 = h.Quantile(0.90)
+	}
+	side.breaks = breaksOf(srv) - c.breaks0
+	side.breakRPCs = srv.Vice.Callbacks().BreakRPCs() - c.breakRPCs0
+	for _, w := range c.ws {
+		st := w.Venus.Stats()
+		side.revalRPCs += st.Validations + st.BulkValidations
+		side.revalItems += st.Revalidated
+	}
+	return side
 }
 
 func breaksOf(srv *itcfs.Server) int64 {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"itcfs"
@@ -14,8 +13,6 @@ import (
 // E13Config sizes the traced latency-breakdown experiment.
 type E13Config struct {
 	Andrew workload.AndrewConfig
-	// Sample keeps every nth traced operation (0 or 1 = all).
-	Sample int
 }
 
 // DefaultE13 traces the full Andrew benchmark.
@@ -29,15 +26,17 @@ func DefaultE13() E13Config {
 // on the critical path. This is the instrumented version of the paper's
 // §5.2 cost accounting: it shows where the prototype's time went (server
 // service time on validates and walks) and what the revised design moved
-// off the servers.
-func E13LatencyBreakdown(cfg E13Config) (*Report, error) {
+// off the servers. It also returns the revised-mode run's tracer, whose
+// spans itcbench exports as a Chrome trace.
+func E13LatencyBreakdown(cfg E13Config) (*Report, *trace.Tracer, error) {
 	r := newReport("E13", "Critical-path latency breakdown (traced Andrew run)",
 		"server service time, not the network, bounds prototype performance (§5.2)",
 		"mode", "op", "n", "mean", "client", "server", "net-queue", "net-serial", "net-prop")
+	var tracer *trace.Tracer
 	for _, mode := range []itcfs.Mode{itcfs.Prototype, itcfs.Revised} {
-		tracer, err := tracedAndrew(mode, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("E13 %v: %w", mode, err)
+		var err error
+		if tracer, err = tracedAndrew(mode, cfg); err != nil {
+			return nil, nil, fmt.Errorf("E13 %v: %w", mode, err)
 		}
 		rows := trace.Analyze(tracer.Spans())
 		var total, client, server, net time.Duration
@@ -75,17 +74,7 @@ func E13LatencyBreakdown(cfg E13Config) (*Report, error) {
 			r.Metrics[mode.String()+"_net_frac"] = float64(net) / float64(total)
 		}
 	}
-	return r, nil
-}
-
-// ExportTracedAndrew runs the traced benchmark in one mode and writes the
-// Chrome trace-event JSON (loadable in Perfetto or chrome://tracing) to w.
-func ExportTracedAndrew(mode itcfs.Mode, cfg E13Config, w io.Writer) error {
-	tracer, err := tracedAndrew(mode, cfg)
-	if err != nil {
-		return err
-	}
-	return tracer.ExportChrome(w)
+	return r, tracer, nil
 }
 
 // tracedAndrew provisions a cell with tracing on, installs the source tree
@@ -94,19 +83,13 @@ func ExportTracedAndrew(mode itcfs.Mode, cfg E13Config, w io.Writer) error {
 // remotely and returns the tracer holding the measured window's spans.
 func tracedAndrew(mode itcfs.Mode, cfg E13Config) (*trace.Tracer, error) {
 	cell := itcfs.NewCell(itcfs.CellConfig{
-		Mode:        mode,
-		Clusters:    1,
-		Trace:       true,
-		TraceSample: cfg.Sample,
-		Metrics:     trace.NewRegistry(),
+		Mode:     mode,
+		Clusters: 1,
+		Trace:    true,
+		Metrics:  trace.NewRegistry(),
 	})
-	var err error
-	cell.Run(func(p *sim.Proc) {
-		var admin *itcfs.Admin
-		if admin, err = cell.Admin(p, 0); err != nil {
-			return
-		}
-		err = admin.NewUser(p, "bench", "pw", 0)
+	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
+		return admin.NewUser(p, "bench", "pw", 0)
 	})
 	if err != nil {
 		return nil, err
@@ -121,10 +104,7 @@ func tracedAndrew(mode itcfs.Mode, cfg E13Config) (*trace.Tracer, error) {
 	if err != nil {
 		return nil, err
 	}
-	benchWS := cell.AddWorkstation(0, "bench-cold")
-	cell.Run(func(p *sim.Proc) {
-		err = benchWS.Login(p, "bench", "pw")
-	})
+	benchWS, err := loggedIn(cell, 0, "bench-cold", "bench", "pw")
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func smallAndrew(seed int64) workload.AndrewConfig {
 func TestE13ComponentsSumToTotal(t *testing.T) {
 	cfg := DefaultE13()
 	cfg.Andrew = smallAndrew(42)
-	r, err := E13LatencyBreakdown(cfg)
+	r, _, err := E13LatencyBreakdown(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
