@@ -8,6 +8,14 @@ cd "$(dirname "$0")"
 go vet ./...
 go build ./...
 
+# Formatting gate: every tracked Go file outside testdata/ must be
+# gofmt-clean; gofmt -l prints the ones that are not.
+unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on: $unformatted"
+	exit 1
+fi
+
 # Project-specific static analysis (tools/itcvet), a hard gate ahead of the
 # race pass: wall-clock bans in deterministic code, unseeded global rand,
 # guarded-field lock discipline, map-iteration order leaking into ordered

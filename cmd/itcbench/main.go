@@ -70,6 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *quick && *full {
+		fmt.Fprintln(stderr, "itcbench: -quick and -full are mutually exclusive")
+		return 2
+	}
 	var clients []int
 	if *clientsFlag != "" {
 		for _, s := range strings.Split(*clientsFlag, ",") {
@@ -155,10 +159,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return report(harness.E6ValidationAblation(cfg))
 		}},
 		{"E7", func() (*harness.Report, []artifact, error) {
-			return report(harness.E7PathnameAblation(harness.DefaultE7()))
+			return report(harness.E7PathnameAblation())
 		}},
 		{"E8", func() (*harness.Report, []artifact, error) {
-			return report(harness.E8WholeFileVsPaged(harness.DefaultE8()))
+			return report(harness.E8WholeFileVsPaged())
 		}},
 		{"E9", func() (*harness.Report, []artifact, error) {
 			cfg := harness.DefaultE9()

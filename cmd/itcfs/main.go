@@ -39,9 +39,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "itcfs: -user and -password are required")
 		os.Exit(2)
 	}
-	mode := vice.Revised
-	if *modeFlag == "prototype" {
-		mode = vice.Prototype
+	mode, err := vice.ParseMode(*modeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "itcfs: -mode: %v\n", err)
+		os.Exit(2)
 	}
 
 	// The callback service: the server breaks our cached copies through it.

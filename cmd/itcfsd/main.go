@@ -80,8 +80,7 @@ func run(args []string) int {
 	opPassword := fs.String("operator-password", "", "password for the bootstrap operator account (required)")
 	dataDir := fs.String("data-dir", "", "durable volume storage directory (empty = in-memory only)")
 	ckptInterval := fs.Duration("checkpoint-interval", time.Minute, "how often to checkpoint and compact the log (with -data-dir; 0 = only on clean shutdown)")
-	traceFlag := fs.Bool("trace", false, "record a span per served call (wall-clock timestamps)")
-	traceOut := fs.String("trace-out", "itcfsd-trace.json", "Chrome trace written on shutdown (with -trace)")
+	traceOut := fs.String("trace-out", "", "record a span per served call (wall-clock timestamps) and write them to this Chrome trace file on shutdown (empty = off)")
 	debugAddr := fs.String("debug-addr", "", "serve the read-only debug endpoint on this address (empty = off)")
 	flightEvents := fs.Int("flight-events", 1024, "operational events retained in the flight recorder")
 	readyFile := fs.String("ready-file", "", "write the bound serve and debug addresses here once listening (for tests)")
@@ -92,9 +91,10 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "itcfsd: -operator-password is required")
 		return 2
 	}
-	mode := vice.Revised
-	if *modeFlag == "prototype" {
-		mode = vice.Prototype
+	mode, err := vice.ParseMode(*modeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "itcfsd: -mode: %v\n", err)
+		return 2
 	}
 
 	db := prot.NewDB()
@@ -191,7 +191,7 @@ func run(args []string) int {
 	// A wall-clock tracer: real transports have no virtual time, so spans
 	// carry the same monotonic offset the flight recorder uses.
 	var tracer *trace.Tracer
-	if *traceFlag {
+	if *traceOut != "" {
 		tracer = trace.New(uptime)
 	}
 

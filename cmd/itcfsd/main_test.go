@@ -210,6 +210,20 @@ func TestItcfsdKillDashNineRestart(t *testing.T) {
 // TestWriteLocDB pins the /locdb rendering: version, sorted entries,
 // custodians, and — the part a single-daemon end-to-end test cannot drive —
 // replica sets.
+// TestUnknownModeFails: a mistyped -mode is a usage error reported before
+// the daemon binds its port, not a silent revised-mode server.
+func TestUnknownModeFails(t *testing.T) {
+	ready := filepath.Join(t.TempDir(), "ready")
+	code := run([]string{"-mode", "protoype", "-operator-password", "pw",
+		"-addr", "127.0.0.1:0", "-ready-file", ready})
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	if _, err := os.Stat(ready); !os.IsNotExist(err) {
+		t.Errorf("daemon got as far as listening (ready file: %v)", err)
+	}
+}
+
 func TestWriteLocDB(t *testing.T) {
 	db := vice.NewLocDB()
 	db.Install([]proto.LocEntry{

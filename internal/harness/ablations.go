@@ -78,23 +78,19 @@ func E6ValidationAblation(cfg E6Config) (*Report, error) {
 	return r, nil
 }
 
-// E7Config sizes the pathname-traversal ablation.
-type E7Config struct {
-	Users   int
-	Depth   int // directory depth of the accessed files
-	OpsEach int
-}
-
-// DefaultE7 returns the standard configuration.
-func DefaultE7() E7Config {
-	return E7Config{Users: 10, Depth: 6, OpsEach: 150}
-}
+// The pathname-traversal ablation's size: e7Users workstations each stat a
+// file e7Depth directories deep e7OpsEach times.
+const (
+	e7Users   = 10
+	e7Depth   = 6
+	e7OpsEach = 150
+)
 
 // E7PathnameAblation measures server-side pathname traversal (prototype)
 // against client-side traversal with FIDs (revised): "the offloading of
 // pathname traversal from servers to clients will reduce the utilization of
 // the server CPU and hence improve the scalability of our design" (§5.3).
-func E7PathnameAblation(cfg E7Config) (*Report, error) {
+func E7PathnameAblation() (*Report, error) {
 	r := newReport("E7", "Server-side vs client-side pathname traversal",
 		"moving traversal to workstations cuts server CPU per operation (§5.3)",
 		"metric", "prototype (server walks)", "revised (FIDs)")
@@ -121,7 +117,7 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 			if err = setup.Login(p, "deep", "pw"); err != nil {
 				return
 			}
-			for d := 0; d < cfg.Depth; d++ {
+			for d := 0; d < e7Depth; d++ {
 				dir = fmt.Sprintf("%s/d%d", dir, d)
 				if err = setup.FS.Mkdir(p, dir, 0o755); err != nil {
 					return
@@ -138,14 +134,14 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 		_, _, walked0 := srv.Vice.TrafficStats()
 		calls0 := srv.Endpoint.CallsTotal()
 		start := cell.Now()
-		for u := 0; u < cfg.Users; u++ {
+		for u := 0; u < e7Users; u++ {
 			ws := cell.AddWorkstation(0, fmt.Sprintf("deep-ws%d", u))
 			cell.Run(func(p *sim.Proc) {
 				if lerr := ws.Login(p, "deep", "pw"); lerr != nil {
 					err = lerr
 					return
 				}
-				for op := 0; op < cfg.OpsEach; op++ {
+				for op := 0; op < e7OpsEach; op++ {
 					if _, serr := ws.FS.Stat(p, leaf); serr != nil {
 						err = serr
 						return
@@ -163,7 +159,7 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 			walked:    walked1 - walked0,
 			cpu:       cpu,
 			calls:     calls,
-			perOpCPU:  cpu / time.Duration(cfg.Users*cfg.OpsEach),
+			perOpCPU:  cpu / time.Duration(e7Users*e7OpsEach),
 			elapsedWS: cell.Now().Sub(start),
 		}
 	}
@@ -183,26 +179,20 @@ func E7PathnameAblation(cfg E7Config) (*Report, error) {
 	return r, nil
 }
 
-// E8Config sizes the transfer-granularity ablation.
-type E8Config struct {
-	FileKB     int // size of the sequentially-read file
-	Rereads    int // how many times the same file is re-read
-	BigMB      int // size of the partially-read file
-	PartialB   int // bytes read out of the big file
-	PageServer baseline.Conn
-}
-
-// DefaultE8 returns the standard configuration.
-func DefaultE8() E8Config {
-	return E8Config{FileKB: 128, Rereads: 5, BigMB: 4, PartialB: 256}
-}
+// The transfer-granularity ablation's size.
+const (
+	e8FileKB   = 128 // size of the sequentially-read file
+	e8Rereads  = 5   // how many times the same file is re-read
+	e8BigMB    = 4   // size of the partially-read file
+	e8PartialB = 256 // bytes read out of the big file
+)
 
 // E8WholeFileVsPaged compares whole-file transfer with caching against
 // page-at-a-time remote access: "the total network protocol overhead in
 // transmitting a file is lower when it is sent en masse" and custodians are
 // contacted only on opens and closes (§3.2). The partial-access row shows
 // the honest flip side that bounds the design to files of a few megabytes.
-func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
+func E8WholeFileVsPaged() (*Report, error) {
 	// Whole-file side: a standard cell.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: itcfs.Revised, Clusters: 1})
 	err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
@@ -212,8 +202,8 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 		return nil, err
 	}
 	ws := cell.AddWorkstation(0, "ws")
-	seq := make([]byte, cfg.FileKB<<10)
-	big := make([]byte, cfg.BigMB<<20)
+	seq := make([]byte, e8FileKB<<10)
+	big := make([]byte, e8BigMB<<20)
 	var wholeSeq, wholeRe, wholePartial time.Duration
 	cell.Run(func(p *sim.Proc) {
 		if err = ws.Login(p, "u", "pw"); err != nil {
@@ -244,12 +234,12 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 		wholeSeqBytes = cell.Clusters[0].LAN.Bytes() - lan0
 		wholeSeq = p.Now().Sub(t0)
 		t0 = p.Now()
-		for i := 0; i < cfg.Rereads; i++ {
+		for i := 0; i < e8Rereads; i++ {
 			if _, err = cold.FS.ReadFile(p, "/vice/usr/u/seq"); err != nil {
 				return
 			}
 		}
-		wholeRe = p.Now().Sub(t0) / time.Duration(cfg.Rereads)
+		wholeRe = p.Now().Sub(t0) / time.Duration(e8Rereads)
 		// Partial access: whole-file caching must fetch all of it.
 		t0 = p.Now()
 		f, oerr := cold.FS.Open(p, "/vice/usr/u/big", itcfs.FlagRead)
@@ -257,7 +247,7 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 			err = oerr
 			return
 		}
-		buf := make([]byte, cfg.PartialB)
+		buf := make([]byte, e8PartialB)
 		if _, err = f.ReadAt(buf, 1<<20); err != nil {
 			return
 		}
@@ -315,19 +305,19 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 		pageSeqBytes = cl.LAN.Bytes() - lan0
 		pageSeq = p.Now().Sub(t0)
 		t0 = p.Now()
-		for i := 0; i < cfg.Rereads; i++ {
+		for i := 0; i < e8Rereads; i++ {
 			if _, pageErr = c.ReadFile(p, "/seq"); pageErr != nil {
 				return
 			}
 		}
-		pageRe = p.Now().Sub(t0) / time.Duration(cfg.Rereads)
+		pageRe = p.Now().Sub(t0) / time.Duration(e8Rereads)
 		t0 = p.Now()
 		f, oerr := c.Open(p, "/big", false)
 		if oerr != nil {
 			pageErr = oerr
 			return
 		}
-		buf := make([]byte, cfg.PartialB)
+		buf := make([]byte, e8PartialB)
 		if _, pageErr = f.ReadAt(p, buf, 1<<20); pageErr != nil {
 			return
 		}
@@ -343,11 +333,11 @@ func E8WholeFileVsPaged(cfg E8Config) (*Report, error) {
 	r := newReport("E8", "Whole-file transfer + caching vs page-at-a-time access",
 		"whole-file wins on protocol overhead and repeat access; paging only wins partial reads of huge files (§2.2, §3.2)",
 		"scenario", "whole-file", "page-at-a-time")
-	r.addRow(fmt.Sprintf("first sequential read (%d KB)", cfg.FileKB),
+	r.addRow(fmt.Sprintf("first sequential read (%d KB)", e8FileKB),
 		wholeSeq.Round(time.Millisecond).String(), pageSeq.Round(time.Millisecond).String())
 	r.addRow("re-read (cached)",
 		wholeRe.Round(time.Millisecond).String(), pageRe.Round(time.Millisecond).String())
-	r.addRow(fmt.Sprintf("read %d B of a %d MB file (cold)", cfg.PartialB, cfg.BigMB),
+	r.addRow(fmt.Sprintf("read %d B of a %d MB file (cold)", e8PartialB, e8BigMB),
 		wholePartial.Round(time.Millisecond).String(), pagePartial.Round(time.Millisecond).String())
 	r.addRow("network bytes, first read",
 		fmt.Sprintf("%d", wholeSeqBytes), fmt.Sprintf("%d", pageSeqBytes))

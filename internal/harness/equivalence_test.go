@@ -199,7 +199,7 @@ func e15Fingerprint(t *testing.T) []byte {
 // e17BreachFingerprint renders the default E17 breach leg's whole record.
 func e17BreachFingerprint(t *testing.T) []byte {
 	t.Helper()
-	br, err := e17Breach(DefaultE17().Breach)
+	br, err := e17Breach(e17BreachShape())
 	if err != nil {
 		t.Fatalf("E17 breach: %v", err)
 	}

@@ -66,11 +66,14 @@ func E1CallMix(cfg E1Config) (*Report, error) {
 
 // E2Config sizes the utilization experiment.
 type E2Config struct {
-	Load       LoadConfig
-	Warm       time.Duration
-	Measure    time.Duration
-	PeakWindow time.Duration
+	Load    LoadConfig
+	Warm    time.Duration
+	Measure time.Duration
 }
+
+// e2PeakWindow is the span the CPU-peak column averages over: the paper's
+// "short-term peaks".
+const e2PeakWindow = 5 * time.Minute
 
 // DefaultE2 approximates the paper's deployment: 6 cluster servers with 20
 // workstations each (120 total), measured over a working day. The measure
@@ -82,10 +85,9 @@ func DefaultE2() E2Config {
 	load.UsersPer = 20
 	load.ReplicateSys = true
 	return E2Config{
-		Load:       load,
-		Warm:       20 * time.Minute,
-		Measure:    time.Hour,
-		PeakWindow: 5 * time.Minute,
+		Load:    load,
+		Warm:    20 * time.Minute,
+		Measure: time.Hour,
 	}
 }
 
@@ -101,7 +103,7 @@ func E2Utilization(cfg E2Config) (*Report, error) {
 	err = lc.DriveHook(cfg.Load, cfg.Warm, cfg.Measure, func() {
 		horizon := lc.Cell.Now().Add(cfg.Measure)
 		for i, s := range lc.Cell.Servers {
-			gauges[i] = sim.NewGauge(lc.Cell.Kernel, s.CPU, cfg.PeakWindow, horizon)
+			gauges[i] = sim.NewGauge(lc.Cell.Kernel, s.CPU, e2PeakWindow, horizon)
 		}
 	})
 	if err != nil {
@@ -173,15 +175,15 @@ func E3HitRatio(cfg E3Config) (*Report, error) {
 	return r, nil
 }
 
-// E4Config sizes the five-phase benchmark comparison.
+// E4Config selects the implementation the five-phase benchmark runs on;
+// the benchmark itself is the calibrated workload.DefaultAndrew.
 type E4Config struct {
-	Mode   itcfs.Mode
-	Andrew workload.AndrewConfig
+	Mode itcfs.Mode
 }
 
-// DefaultE4 returns the calibrated configuration.
+// DefaultE4 returns the prototype configuration.
 func DefaultE4() E4Config {
-	return E4Config{Mode: itcfs.Prototype, Andrew: workload.DefaultAndrew()}
+	return E4Config{Mode: itcfs.Prototype}
 }
 
 // E4AndrewBenchmark reproduces the controlled experiment of §5.2: the
@@ -189,6 +191,7 @@ func DefaultE4() E4Config {
 // files local, and about 80% longer when every file comes from an unloaded
 // Vice server.
 func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
+	andrew := workload.DefaultAndrew()
 	// Local run: source and target both on the workstation's own disk.
 	cell := itcfs.NewCell(itcfs.CellConfig{Mode: cfg.Mode, Clusters: 1})
 	if err := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
@@ -206,12 +209,12 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 				return
 			}
 			if generate {
-				if _, gerr := workload.GenerateTree(p, ws.FS, src, cfg.Andrew); gerr != nil {
+				if _, gerr := workload.GenerateTree(p, ws.FS, src, andrew); gerr != nil {
 					err = gerr
 					return
 				}
 			}
-			pt, err = workload.RunAndrew(p, ws.FS, src, dst, cfg.Andrew)
+			pt, err = workload.RunAndrew(p, ws.FS, src, dst, andrew)
 		})
 		return pt, err
 	}
@@ -229,7 +232,7 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 		if genErr = setupWS.Login(p, "bench", "pw"); genErr != nil {
 			return
 		}
-		_, genErr = workload.GenerateTree(p, setupWS.FS, "/vice/usr/bench/src", cfg.Andrew)
+		_, genErr = workload.GenerateTree(p, setupWS.FS, "/vice/usr/bench/src", andrew)
 	})
 	if genErr != nil {
 		return nil, fmt.Errorf("remote tree: %w", genErr)
@@ -248,7 +251,7 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 	var warmErr error
 	cell.Run(func(p *sim.Proc) {
 		warm, warmErr = workload.RunAndrew(p, remoteWS.FS,
-			"/vice/usr/bench/src", "/vice/usr/bench/dst2", cfg.Andrew)
+			"/vice/usr/bench/src", "/vice/usr/bench/dst2", andrew)
 	})
 	if warmErr != nil {
 		return nil, fmt.Errorf("warm run: %w", warmErr)
@@ -273,13 +276,11 @@ func E4AndrewBenchmark(cfg E4Config) (*Report, error) {
 	return r, nil
 }
 
-// E5Config sizes the scalability sweep.
+// E5Config sizes the scalability sweep. The benchmark is the calibrated
+// workload.DefaultAndrew on the prototype.
 type E5Config struct {
-	Mode    itcfs.Mode
-	Andrew  workload.AndrewConfig
-	Drive   workload.Config
-	LoadWS  []int // concurrent load workstations per sweep point
-	PerLoad time.Duration
+	Drive  workload.Config
+	LoadWS []int // concurrent load workstations per sweep point
 }
 
 // DefaultE5 sweeps the client/server ratio through the paper's operating
@@ -288,8 +289,6 @@ func DefaultE5() E5Config {
 	drive := workload.DefaultConfig(0)
 	drive.Think = 4 * time.Second // "intense file system activity"
 	return E5Config{
-		Mode:   itcfs.Prototype,
-		Andrew: workload.DefaultAndrew(),
 		Drive:  drive,
 		LoadWS: []int{0, 5, 10, 20, 40},
 	}
@@ -322,17 +321,14 @@ func E5Scalability(cfg E5Config) (*Report, error) {
 
 // e5Point runs the benchmark with n load workstations on one server.
 func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
-	load := LoadConfig{
-		Mode:     cfg.Mode,
+	andrew := workload.DefaultAndrew()
+	lc, err := BuildLoadedCell(LoadConfig{
+		Mode:     itcfs.Prototype,
 		Clusters: 1,
 		UsersPer: n,
 		Seed:     7,
 		Drive:    cfg.Drive,
-	}
-	if n == 0 {
-		load.UsersPer = 0
-	}
-	lc, err := BuildLoadedCell(load)
+	})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -351,7 +347,7 @@ func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
 			genErr = err
 			return
 		}
-		_, genErr = workload.GenerateTree(p, ws.FS, "/vice/usr/bench/src", cfg.Andrew)
+		_, genErr = workload.GenerateTree(p, ws.FS, "/vice/usr/bench/src", andrew)
 	})
 	if genErr != nil {
 		return 0, 0, genErr
@@ -376,7 +372,7 @@ func e5Point(cfg E5Config, n int) (time.Duration, float64, error) {
 		})
 	}
 	cell.Kernel.Spawn("bench", func(p *sim.Proc) {
-		bench, benchErr = workload.RunAndrew(p, ws.FS, "/vice/usr/bench/src", "/vice/usr/bench/dst", cfg.Andrew)
+		bench, benchErr = workload.RunAndrew(p, ws.FS, "/vice/usr/bench/src", "/vice/usr/bench/dst", andrew)
 		done = true
 	})
 	cell.Kernel.Run()

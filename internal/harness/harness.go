@@ -138,13 +138,11 @@ type LoadedCell struct {
 
 // LoadConfig sizes a loaded cell.
 type LoadConfig struct {
-	Mode       itcfs.Mode
-	Clusters   int
-	UsersPer   int // users (each with a workstation) per cluster
-	Seed       int64
-	Drive      workload.Config // per-user driver shape (Seed is overridden)
-	CacheFiles int
-	CacheBytes int64
+	Mode     itcfs.Mode
+	Clusters int
+	UsersPer int // users (each with a workstation) per cluster
+	Seed     int64
+	Drive    workload.Config // per-user driver shape (Seed is overridden)
 	// ReplicateSys clones the system-binary volume read-only onto every
 	// cluster server, the deployment the paper describes for frequently
 	// read, rarely modified files (§3.2). Multi-cluster cells default to
@@ -168,12 +166,7 @@ func DefaultLoad(mode itcfs.Mode) LoadConfig {
 // one user+volume+workstation per seat, every home populated and every
 // user logged in at their station.
 func BuildLoadedCell(cfg LoadConfig) (*LoadedCell, error) {
-	cell := itcfs.NewCell(itcfs.CellConfig{
-		Mode:       cfg.Mode,
-		Clusters:   cfg.Clusters,
-		CacheFiles: cfg.CacheFiles,
-		CacheBytes: cfg.CacheBytes,
-	})
+	cell := itcfs.NewCell(itcfs.CellConfig{Mode: cfg.Mode, Clusters: cfg.Clusters})
 	lc := &LoadedCell{Cell: cell, SysRoot: cfg.Drive.SysRoot, marks: make(map[*itcfs.Server]windowMark)}
 	setupErr := asAdmin(cell, func(p *sim.Proc, admin *itcfs.Admin) error {
 		if err := admin.MkdirAll(p, "/unix"); err != nil {

@@ -31,51 +31,44 @@ import (
 type E17Config struct {
 	Clients []int // client counts for the ablation sweep
 	Reps    int   // wall-clock repetitions per leg, best-of (0 = 1)
-	// Rate and SlowKeep shape the sampled leg's policy: keep one root in
-	// Rate per op class, plus every root slower than SlowKeep.
-	Rate     int
-	SlowKeep time.Duration
-	Seed     int64 // sampling seed (rotates per-class keep phases)
-	Breach   E17BreachConfig
+	// Rate shapes the sampled leg's policy: keep one root in Rate per op
+	// class, plus every root slower than e17SlowKeep.
+	Rate int
 }
 
-// E17BreachConfig sizes the seeded hot-volume breach leg — E15's
-// two-cluster cell, in its shape, driven into saturation with the SLO layer
-// attached.
-type E17BreachConfig struct {
-	hotShape
-	// Objective/Target/Window/BreachBurn configure the venus.open SLO.
-	Objective  time.Duration
-	Target     float64
-	Window     int
-	BreachBurn float64
-	// SampleRate/SlowKeep shape the breach cell's trace policy — sampled, so
-	// the breach attribution exercises the exemplar path, not full retention.
-	SampleRate int
-	SlowKeep   time.Duration
-}
+// The sampled leg's slow always-keep threshold and sampling seed.
+const (
+	e17SlowKeep = 5 * time.Minute
+	e17Seed     = 17 // rotates per-class keep phases
+)
+
+// The breach leg's venus.open SLO and its cell's trace policy — sampled, so
+// the breach attribution exercises the exemplar path, not full retention.
+const (
+	breachObjective  = 250 * time.Millisecond
+	breachTarget     = 0.95
+	breachWindow     = 4
+	breachBurn       = 2.0
+	breachSampleRate = 4
+	breachSlowKeep   = 2 * time.Second
+)
 
 // DefaultE17 returns the standard configuration: the tentpole's 10k/30k
-// ablation at rate-1024 sampling, and the E15-quick-shaped breach cell.
+// ablation at rate-1024 sampling.
 func DefaultE17() E17Config {
-	shape := DefaultE15()
+	return E17Config{
+		Clients: []int{10000, 30000},
+		Rate:    1024,
+	}
+}
+
+// e17BreachShape times the breach leg's cell: E15's hot-volume cell at
+// E15-quick cadence and phase length.
+func e17BreachShape() hotShape {
+	shape := DefaultE15().hotShape
 	shape.Cadence = 15 * time.Second
 	shape.Phase = 150 * time.Second
-	return E17Config{
-		Clients:  []int{10000, 30000},
-		Rate:     1024,
-		SlowKeep: 5 * time.Minute,
-		Seed:     17,
-		Breach: E17BreachConfig{
-			hotShape:   shape.hotShape,
-			Objective:  250 * time.Millisecond,
-			Target:     0.95,
-			Window:     4,
-			BreachBurn: 2.0,
-			SampleRate: 4,
-			SlowKeep:   2 * time.Second,
-		},
-	}
+	return shape
 }
 
 // ObsLeg is one tracing mode measured at one client count.
@@ -141,12 +134,6 @@ var obsLegModes = []string{"off", "sampled", "full"}
 // every simulated outcome is deterministic, and the run fails if the three
 // legs' virtual timelines or metric registries diverge.
 func RunObsBench(cfg E17Config) (*ObsBench, error) {
-	if len(cfg.Clients) == 0 {
-		cfg = DefaultE17()
-	}
-	if cfg.Rate <= 1 {
-		cfg.Rate = 1024
-	}
 	// E17 always uses the quick-mix shape: overhead per client-hour is a
 	// ratio, so the mix only needs to touch every hot path — and the full
 	// leg must retain every span of whatever is simulated.
@@ -156,7 +143,7 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 		Workload: "E14 batched quick mix, tracing ablated off/sampled/full; " +
 			"E15-shaped hot-volume cell for the SLO breach leg",
 		SampleRate: cfg.Rate,
-		SlowKeepMs: int64(cfg.SlowKeep / time.Millisecond),
+		SlowKeepMs: int64(e17SlowKeep / time.Millisecond),
 		Note: "sampled = seeded per-class rate with slow always-keep; legs are " +
 			"inert: identical virtual timelines and byte-identical registries",
 	}
@@ -197,7 +184,7 @@ func RunObsBench(cfg E17Config) (*ObsBench, error) {
 		pt.FullAllocsPerCHOver = round3(full.AllocsPerClientHour - off.AllocsPerClientHour)
 		ob.Points = append(ob.Points, pt)
 	}
-	br, err := e17Breach(cfg.Breach)
+	br, err := e17Breach(e17BreachShape())
 	if err != nil {
 		return nil, err
 	}
@@ -212,11 +199,11 @@ func (cfg E17Config) traceMode(mode string) func(*itcfs.CellConfig) {
 		case "sampled":
 			cc.Trace = true
 			cc.TracePolicy = &trace.SamplePolicy{
-				Seed:    cfg.Seed,
-				Default: trace.ClassPolicy{Rate: cfg.Rate, SlowKeep: cfg.SlowKeep},
+				Seed:    e17Seed,
+				Default: trace.ClassPolicy{Rate: cfg.Rate, SlowKeep: e17SlowKeep},
 			}
 		case "full":
-			cc.Trace = true // TraceSample 0 = keep every root
+			cc.Trace = true // no policy: keep every root
 		}
 	}
 }
@@ -226,10 +213,10 @@ func (cfg E17Config) traceMode(mode string) func(*itcfs.CellConfig) {
 // past its CPU ceiling. The SLO monitor rides the sampling cadence; the leg
 // requires at least one slo.breach whose exemplar critical path names the
 // saturated server.
-func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
-	h, err := newHotCell(cfg.hotShape, &trace.SamplePolicy{
+func e17Breach(cfg hotShape) (*ObsBreach, error) {
+	h, err := newHotCell(cfg.Seed, &trace.SamplePolicy{
 		Seed:    cfg.Seed,
-		Default: trace.ClassPolicy{Rate: cfg.SampleRate, SlowKeep: cfg.SlowKeep},
+		Default: trace.ClassPolicy{Rate: breachSampleRate, SlowKeep: breachSlowKeep},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E17 breach: %w", err)
@@ -246,11 +233,11 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 	mon := monitor.AttachSLO(sampler, cell.Metrics, cell.Tracer, cell.Flight, monitor.SLOConfig{
 		Objectives: []monitor.SLOObjective{{
 			Class:   trace.SpanVenusOpen,
-			Latency: cfg.Objective,
-			Target:  cfg.Target,
+			Latency: breachObjective,
+			Target:  breachTarget,
 		}},
-		Window:     cfg.Window,
-		BreachBurn: cfg.BreachBurn,
+		Window:     breachWindow,
+		BreachBurn: breachBurn,
 	})
 	if mon == nil {
 		return nil, fmt.Errorf("E17 breach: AttachSLO returned nil")
@@ -278,7 +265,7 @@ func e17Breach(cfg E17BreachConfig) (*ObsBreach, error) {
 	// the burn rate in its finding.
 	adv := monitor.New(cell, monitor.DefaultConfig())
 	adv.UseSLO(mon)
-	findings := adv.DetectOverload(sampler, cfg.Detect)
+	findings := adv.DetectOverload(sampler, monitor.DefaultOverloadConfig())
 
 	// Phase C: hot load gone — the episode should close.
 	if err := h.runUntil(bEnd.Add(cfg.Phase)); err != nil {

@@ -14,32 +14,46 @@ import (
 
 // E16Config sizes the replication-availability experiment.
 type E16Config struct {
-	Seed int64
-	// Clusters is the number of cluster servers; server0 is the custodian
-	// of the system-binary volume and the server that dies mid-run.
-	Clusters int
-	// ReadersPerCluster stations per cluster read the released binaries in
-	// a round-robin loop. Cluster-0 readers prefer the (doomed) custodian
-	// and must fail over; other clusters' readers prefer their own local
-	// replica and should never notice the crash.
-	ReadersPerCluster int
-	SysFiles          int           // released system binaries
-	Think             time.Duration // reader pause between binary reads
-	// CacheBytes keeps the Venus caches small enough that the binaries
+	Seed     int64
+	SysFiles int           // released system binaries
+	Window   time.Duration // reader loop duration
+}
+
+// The E16 cell and its load. e16Clusters is the number of cluster servers;
+// server0 is the custodian of the system-binary volume and the server that
+// dies mid-run. e16ReadersPerCluster stations per cluster read the released
+// binaries in a round-robin loop. Cluster-0 readers prefer the (doomed)
+// custodian and must fail over; other clusters' readers prefer their own
+// local replica and should never notice the crash.
+const (
+	e16Clusters          = 3
+	e16ReadersPerCluster = 2
+	e16Think             = 2 * time.Second // reader pause between binary reads
+	// e16CacheBytes keeps the Venus caches small enough that the binaries
 	// cycle out: post-crash reads are real fetches, not cache hits, or the
 	// unreplicated leg would ride out the crash on cached copies.
-	CacheBytes int64
-	// AndrewStart delays the Andrew run so its Copy phase — the window
+	e16CacheBytes = 96 << 10
+	// e16AndrewStart delays the Andrew run so its Copy phase — the window
 	// where it reads every released source file — brackets the kill.
-	AndrewStart time.Duration
-	KillAfter   time.Duration // custodian crash, from load start
-	Window      time.Duration // reader loop duration
+	e16AndrewStart = 30 * time.Second
+	e16KillAfter   = 45 * time.Second // custodian crash, from load start
 	// Fault-tolerance knobs passed to the cell (failure is detected by
 	// timeout, so the timeout must be short relative to Window).
-	CallTimeout      time.Duration
-	ReconnectRetries int
-	Andrew           workload.AndrewConfig
-	FlightEvents     int
+	e16CallTimeout      = 10 * time.Second
+	e16ReconnectRetries = 1
+	e16FlightEvents     = 512
+)
+
+// e16Andrew is the Andrew run over the released tree: a small source tree
+// and a fast compiler, since E16 measures availability, not benchmark time.
+func e16Andrew() workload.AndrewConfig {
+	andrew := workload.DefaultAndrew()
+	andrew.Files = 24
+	andrew.Dirs = 3
+	andrew.MeanFileBytes = 4 << 10
+	andrew.CompilePerKB = 200 * time.Millisecond
+	andrew.CompilePerFile = 250 * time.Millisecond
+	return andrew
 }
 
 // DefaultE16 returns the standard configuration: three cluster servers, the
@@ -47,27 +61,10 @@ type E16Config struct {
 // while readers in every cluster and an Andrew run are consuming the
 // released tree.
 func DefaultE16() E16Config {
-	andrew := workload.DefaultAndrew()
-	andrew.Files = 24
-	andrew.Dirs = 3
-	andrew.MeanFileBytes = 4 << 10
-	// A fast compiler: E16 measures availability, not benchmark time.
-	andrew.CompilePerKB = 200 * time.Millisecond
-	andrew.CompilePerFile = 250 * time.Millisecond
 	return E16Config{
-		Seed:              1,
-		Clusters:          3,
-		ReadersPerCluster: 2,
-		SysFiles:          24,
-		Think:             2 * time.Second,
-		CacheBytes:        96 << 10,
-		AndrewStart:       30 * time.Second,
-		KillAfter:         45 * time.Second,
-		Window:            6 * time.Minute,
-		CallTimeout:       10 * time.Second,
-		ReconnectRetries:  1,
-		Andrew:            andrew,
-		FlightEvents:      512,
+		Seed:     1,
+		SysFiles: 24,
+		Window:   6 * time.Minute,
 	}
 }
 
@@ -110,9 +107,6 @@ type e16Leg struct {
 // exercises the content-addressed block index: N+1 copies of every released
 // byte intern to one, and the report prints the measured dedup ratio.
 func E16Replication(cfg E16Config) (*E16Result, error) {
-	if cfg.Clusters < 2 {
-		return nil, fmt.Errorf("E16: need at least 2 clusters, got %d", cfg.Clusters)
-	}
 	rep, err := e16RunLeg(cfg, true)
 	if err != nil {
 		return nil, fmt.Errorf("E16 replicated leg: %w", err)
@@ -194,18 +188,19 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	leg := &e16Leg{blocks: replica.NewIndex(metrics)}
 	cell := itcfs.NewCell(itcfs.CellConfig{
 		Mode:             itcfs.Revised,
-		Clusters:         cfg.Clusters,
-		CacheBytes:       cfg.CacheBytes,
-		CallTimeout:      cfg.CallTimeout,
-		ReconnectRetries: cfg.ReconnectRetries,
+		Clusters:         e16Clusters,
+		CacheBytes:       e16CacheBytes,
+		CallTimeout:      e16CallTimeout,
+		ReconnectRetries: e16ReconnectRetries,
 		Metrics:          metrics,
-		FlightEvents:     cfg.FlightEvents,
+		FlightEvents:     e16FlightEvents,
 		Blocks:           leg.blocks,
 	})
 	leg.cell = cell
 
 	// Provision: the binaries and the Andrew source tree in one volume on
 	// server0; the Andrew user's home on server1, where it survives.
+	andrew := e16Andrew()
 	drive := workload.DefaultConfig(cfg.Seed)
 	drive.SysFiles = cfg.SysFiles
 	srcRW := "/vice" + drive.SysRoot + "/src"
@@ -233,7 +228,7 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 		if err = workload.PopulateSystem(p, opWS.FS, drive, r); err != nil {
 			return
 		}
-		_, err = workload.GenerateTree(p, opWS.FS, srcRW, cfg.Andrew)
+		_, err = workload.GenerateTree(p, opWS.FS, srcRW, andrew)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("populate: %w", err)
@@ -265,8 +260,8 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 		local bool // homed on a server that carries a replica
 	}
 	var readers []station
-	for c := 0; c < cfg.Clusters; c++ {
-		for i := 0; i < cfg.ReadersPerCluster; i++ {
+	for c := 0; c < e16Clusters; c++ {
+		for i := 0; i < e16ReadersPerCluster; i++ {
 			ws, err := loggedIn(cell, c, fmt.Sprintf("read%d-%d", c, i), "operator", "operator-password")
 			if err != nil {
 				return nil, err
@@ -296,7 +291,7 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 	until := start.Add(cfg.Window)
 	for _, st := range readers {
 		st := st
-		stagger := time.Duration(rng.Int63n(int64(cfg.Think)))
+		stagger := time.Duration(rng.Int63n(int64(e16Think)))
 		cell.Kernel.Spawn("read-"+st.ws.Name, func(p *sim.Proc) {
 			p.Sleep(stagger)
 			for f := 0; p.Now() < until; f++ {
@@ -311,18 +306,18 @@ func e16RunLeg(cfg E16Config, replicate bool) (*e16Leg, error) {
 						leg.localFailed++
 					}
 				}
-				p.Sleep(cfg.Think)
+				p.Sleep(e16Think)
 			}
 		})
 	}
 	cell.Kernel.Spawn("andrew", func(p *sim.Proc) {
-		p.Sleep(cfg.AndrewStart)
-		pt, aerr := workload.RunAndrew(p, andrewWS.FS, "/vice"+roRoot+"/src", "/vice/usr/andrew/build", cfg.Andrew)
+		p.Sleep(e16AndrewStart)
+		pt, aerr := workload.RunAndrew(p, andrewWS.FS, "/vice"+roRoot+"/src", "/vice/usr/andrew/build", andrew)
 		leg.andrewErr = aerr
 		leg.andrewTotal = pt.Total()
 	})
 	cell.Kernel.Spawn("kill-custodian", func(p *sim.Proc) {
-		p.Sleep(cfg.KillAfter)
+		p.Sleep(e16KillAfter)
 		cell.CrashServer(0)
 	})
 	cell.Kernel.Run()

@@ -27,10 +27,13 @@ type E14Config struct {
 	Clients []int // client counts to sweep (e.g. 100, 300, 1000)
 	Seed    int64
 	Scale   workload.ScaleConfig // per-client mix (Seed and Root are derived per cluster)
-	// CallbackTTL bounds promise trust so the periodic sweeps have entries
-	// to revalidate.
-	CallbackTTL time.Duration
 }
+
+// e14CallbackTTL bounds promise trust so the periodic sweeps have entries
+// to revalidate. It is above the sweep cadence (SweepEvery ops of mean
+// Think), so the forced sweeps refresh promises before they lapse and opens
+// almost never pay a one-off validation.
+const e14CallbackTTL = 4 * time.Hour
 
 // DefaultE14 returns the standard configuration.
 func DefaultE14() E14Config {
@@ -38,10 +41,6 @@ func DefaultE14() E14Config {
 		Clients: []int{100, 300, 1000},
 		Seed:    14,
 		Scale:   workload.DefaultScale(14),
-		// Above the sweep cadence (SweepEvery ops of mean Think), so the
-		// forced sweeps refresh promises before they lapse and opens almost
-		// never pay a one-off validation.
-		CallbackTTL: 4 * time.Hour,
 	}
 }
 
@@ -77,9 +76,6 @@ func unbatched(cc *itcfs.CellConfig) {
 // E14Scalability runs the sweep and reports unbatched vs. batched columns
 // per client count.
 func E14Scalability(cfg E14Config) (*Report, error) {
-	if len(cfg.Clients) == 0 {
-		cfg = DefaultE14()
-	}
 	r := newReport("E14", "scalability: batched callback breaks + bulk revalidation",
 		"callbacks add an invalidation message on each update and state on the server (§3.2); "+
 			"batching both planes is what lets a cluster server face hundreds of Venera",
@@ -151,7 +147,7 @@ func runCampus(cfg E14Config, n, clusters int, mut func(*itcfs.CellConfig)) (*ca
 	cc := itcfs.CellConfig{
 		Mode:        itcfs.Revised,
 		Clusters:    clusters,
-		CallbackTTL: cfg.CallbackTTL,
+		CallbackTTL: e14CallbackTTL,
 		Metrics:     trace.NewRegistry(),
 		// Patient retries: load spikes (a burst's refetch wave) can push
 		// queueing past one call timeout.

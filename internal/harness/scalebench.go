@@ -91,9 +91,6 @@ func DefaultScaleBench() ScaleBenchConfig {
 // here, not a hidden dependency: the simulated outcome is deterministic and
 // unaffected.
 func RunScaleBench(cfg ScaleBenchConfig) (*ScaleBench, error) {
-	if len(cfg.Clients) == 0 {
-		cfg.Clients = DefaultScaleBench().Clients
-	}
 	e14 := DefaultE14()
 	if cfg.Quick {
 		e14 = quickE14()

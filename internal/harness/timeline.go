@@ -21,33 +21,36 @@ type E15Config struct {
 	MoveGrace time.Duration
 }
 
-// hotShape sizes the two-cluster hot-volume cell that E15 and E17's breach
-// leg both drive; its fields are promoted into E15Config and
-// E17BreachConfig.
+// hotShape times the two-cluster hot-volume cell that E15 and E17's breach
+// leg both drive; its fields are promoted into E15Config.
 type hotShape struct {
 	Seed int64
 	// Cadence is the telemetry sampling window; Phase is how long each load
-	// phase runs. The detector needs Detect.MinWindows full windows of
-	// overload inside phase B, so Phase should be several times Cadence.
+	// phase runs. The overload detector (monitor.DefaultOverloadConfig)
+	// needs MinWindows full windows of overload inside phase B, so Phase
+	// should be several times Cadence.
 	Cadence time.Duration
 	Phase   time.Duration
-	// HotReaders and WarmReaders are cluster-1 stations hammering the two
-	// public volumes hosted (initially) on server0; LightPerCluster stations
-	// per cluster read their own local home volumes throughout.
-	HotReaders      int
-	WarmReaders     int
-	LightPerCluster int
-	Files           int // files per volume, read round-robin
-	FileBytes       int
+}
+
+// The hot-volume cell's population. hotReaders and warmReaders are
+// cluster-1 stations hammering the two public volumes hosted (initially) on
+// server0; lightPerCluster stations per cluster read their own local home
+// volumes throughout.
+const (
+	hotReaders      = 6
+	warmReaders     = 4
+	lightPerCluster = 2
+	hotFiles        = 6 // files per volume, read round-robin
+	hotFileBytes    = 8 << 10
 	// Per-group think times between reads; the hot group's shorter think is
 	// what pushes server0 over its CPU ceiling in phase B.
-	HotThink   time.Duration
-	WarmThink  time.Duration
-	LightThink time.Duration
-	Detect     monitor.OverloadConfig
-	// FlightEvents bounds the cell's flight-recorder ring.
-	FlightEvents int
-}
+	hotThink   = 1700 * time.Millisecond
+	warmThink  = 1250 * time.Millisecond
+	lightThink = 1200 * time.Millisecond
+	// hotFlightEvents bounds the cell's flight-recorder ring.
+	hotFlightEvents = 512
+)
 
 // DefaultE15 returns the standard configuration: phase B offers roughly 110%
 // of one server's CPU (hot + warm + background), and after the hot volume
@@ -55,19 +58,9 @@ type hotShape struct {
 func DefaultE15() E15Config {
 	return E15Config{
 		hotShape: hotShape{
-			Seed:            1,
-			Cadence:         30 * time.Second,
-			Phase:           10 * time.Minute,
-			HotReaders:      6,
-			WarmReaders:     4,
-			LightPerCluster: 2,
-			Files:           6,
-			FileBytes:       8 << 10,
-			HotThink:        1700 * time.Millisecond,
-			WarmThink:       1250 * time.Millisecond,
-			LightThink:      1200 * time.Millisecond,
-			Detect:          monitor.DefaultOverloadConfig(),
-			FlightEvents:    512,
+			Seed:    1,
+			Cadence: 30 * time.Second,
+			Phase:   10 * time.Minute,
 		},
 		MoveGrace: time.Minute,
 	}
@@ -91,7 +84,6 @@ type E15Result struct {
 // their load crosses the backbone to server0 — and every volume is
 // populated from one logged-in station each.
 type hotCell struct {
-	cfg    hotShape
 	cell   *itcfs.Cell
 	hotVol uint32
 	hot    []*itcfs.Workstation
@@ -104,20 +96,20 @@ type hotCell struct {
 	loadErr error
 }
 
-// newHotCell provisions and populates the cell; a non-nil tracePolicy turns
-// tracing on under that sampling policy.
-func newHotCell(cfg hotShape, tracePolicy *trace.SamplePolicy) (*hotCell, error) {
-	h := &hotCell{cfg: cfg, cell: itcfs.NewCell(itcfs.CellConfig{
+// newHotCell provisions and populates the cell, drawing start staggers from
+// seed; a non-nil tracePolicy turns tracing on under that sampling policy.
+func newHotCell(seed int64, tracePolicy *trace.SamplePolicy) (*hotCell, error) {
+	h := &hotCell{cell: itcfs.NewCell(itcfs.CellConfig{
 		Mode:         itcfs.Prototype,
 		Clusters:     2,
 		Metrics:      trace.NewRegistry(),
-		FlightEvents: cfg.FlightEvents,
+		FlightEvents: hotFlightEvents,
 		Trace:        tracePolicy != nil,
 		TracePolicy:  tracePolicy,
 	})}
 	cell := h.cell
 	for c := 0; c < 2; c++ {
-		for i := 0; i < cfg.LightPerCluster; i++ {
+		for i := 0; i < lightPerCluster; i++ {
 			h.bgUser[c] = append(h.bgUser[c], fmt.Sprintf("bg%d-%d", c, i))
 		}
 	}
@@ -151,10 +143,10 @@ func newHotCell(cfg hotShape, tracePolicy *trace.SamplePolicy) (*hotCell, error)
 		}
 		return g
 	}
-	h.hot = group(cfg.HotReaders, 1, "hot-ws", func(int) string { return "pub-hot" })
-	h.warm = group(cfg.WarmReaders, 1, "warm-ws", func(int) string { return "pub-warm" })
+	h.hot = group(hotReaders, 1, "hot-ws", func(int) string { return "pub-hot" })
+	h.warm = group(warmReaders, 1, "warm-ws", func(int) string { return "pub-warm" })
 	for c := 0; c < 2; c++ {
-		h.bg[c] = group(cfg.LightPerCluster, c, fmt.Sprintf("bg%d-ws", c), func(i int) string { return h.bgUser[c][i] })
+		h.bg[c] = group(lightPerCluster, c, fmt.Sprintf("bg%d-ws", c), func(i int) string { return h.bgUser[c][i] })
 	}
 	if err != nil {
 		return nil, err
@@ -162,8 +154,8 @@ func newHotCell(cfg hotShape, tracePolicy *trace.SamplePolicy) (*hotCell, error)
 
 	populate := func(ws *itcfs.Workstation, owner string) {
 		cell.Run(func(p *sim.Proc) {
-			for f := 0; f < cfg.Files && err == nil; f++ {
-				body := make([]byte, cfg.FileBytes)
+			for f := 0; f < hotFiles && err == nil; f++ {
+				body := make([]byte, hotFileBytes)
 				for b := range body {
 					body[b] = byte(f)
 				}
@@ -184,17 +176,17 @@ func newHotCell(cfg hotShape, tracePolicy *trace.SamplePolicy) (*hotCell, error)
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	h.stagger = make(map[*itcfs.Workstation]time.Duration)
 	draw := func(group []*itcfs.Workstation, think time.Duration) {
 		for _, ws := range group {
 			h.stagger[ws] = time.Duration(rng.Int63n(int64(think)))
 		}
 	}
-	draw(h.hot, cfg.HotThink)
-	draw(h.warm, cfg.WarmThink)
-	draw(h.bg[0], cfg.LightThink)
-	draw(h.bg[1], cfg.LightThink)
+	draw(h.hot, hotThink)
+	draw(h.warm, warmThink)
+	draw(h.bg[0], lightThink)
+	draw(h.bg[1], lightThink)
 	return h, nil
 }
 
@@ -202,12 +194,11 @@ func newHotCell(cfg hotShape, tracePolicy *trace.SamplePolicy) (*hotCell, error)
 // time: the hot and warm groups on the public volumes when shared is set,
 // then the background stations on their own homes when background is.
 func (h *hotCell) spawn(until sim.Time, shared, background bool) {
-	cfg := h.cfg
 	reader := func(ws *itcfs.Workstation, owner string, think time.Duration) {
 		h.cell.Kernel.Spawn("read-"+ws.Name, func(p *sim.Proc) {
 			p.Sleep(h.stagger[ws])
 			for f := 0; p.Now() < until; f++ {
-				if _, rerr := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f%cfg.Files)); rerr != nil {
+				if _, rerr := ws.FS.ReadFile(p, fmt.Sprintf("/vice/usr/%s/f%d", owner, f%hotFiles)); rerr != nil {
 					if h.loadErr == nil {
 						h.loadErr = fmt.Errorf("reader %s: %w", ws.Name, rerr)
 					}
@@ -219,16 +210,16 @@ func (h *hotCell) spawn(until sim.Time, shared, background bool) {
 	}
 	if shared {
 		for _, ws := range h.hot {
-			reader(ws, "pub-hot", cfg.HotThink)
+			reader(ws, "pub-hot", hotThink)
 		}
 		for _, ws := range h.warm {
-			reader(ws, "pub-warm", cfg.WarmThink)
+			reader(ws, "pub-warm", warmThink)
 		}
 	}
 	if background {
 		for c := 0; c < 2; c++ {
 			for i, ws := range h.bg[c] {
-				reader(ws, h.bgUser[c][i], cfg.LightThink)
+				reader(ws, h.bgUser[c][i], lightThink)
 			}
 		}
 	}
@@ -249,7 +240,7 @@ func (h *hotCell) runUntil(t sim.Time) error {
 // both servers below threshold. Everything — series, dashboard, flight
 // recorder, the report — replays byte-identically under one seed.
 func E15HotVolume(cfg E15Config) (*E15Result, error) {
-	h, err := newHotCell(cfg.hotShape, nil)
+	h, err := newHotCell(cfg.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +269,7 @@ func E15HotVolume(cfg E15Config) (*E15Result, error) {
 
 	// The detector reads the sampled series as they stand at the end of B.
 	adv := monitor.New(cell, monitor.DefaultConfig())
-	findings := adv.DetectOverload(sampler, cfg.Detect)
+	findings := adv.DetectOverload(sampler, monitor.DefaultOverloadConfig())
 	if len(findings) == 0 {
 		return nil, fmt.Errorf("E15: overload detector found nothing at end of phase B")
 	}

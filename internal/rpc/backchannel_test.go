@@ -17,7 +17,7 @@ import (
 
 // A workstation that holds a callback promise but never answers the break
 // must not stall other writers to the file: on the stream carrier the
-// server's break is bounded like the simulator's CallbackTimeout.
+// server's break is bounded like the simulator's callback breaks.
 func TestStalledCallbackHolderBoundsStoreOnTCP(t *testing.T) {
 	const bound = 300 * time.Millisecond
 	t.Cleanup(rpc.SetBackTimeout(bound))

@@ -96,10 +96,6 @@ type EndpointConfig struct {
 	// Retry enables bounded retransmission with exponential backoff and
 	// jitter; the zero value keeps the original single-attempt behavior.
 	Retry RetryPolicy
-	// CallbackTimeout bounds a server-to-client callback break. 0 means a
-	// quarter of CallTimeout: a dead cache holder must not stall a
-	// mutation for the caller's full call deadline.
-	CallbackTimeout time.Duration
 	// Tracer records distributed spans for calls through this endpoint.
 	// Nil disables tracing at near-zero cost (one nil check per call).
 	Tracer *trace.Tracer
@@ -190,9 +186,6 @@ type inConn struct {
 func NewEndpoint(net *netsim.Network, node *netsim.Node, cfg EndpointConfig) *Endpoint {
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = defaultCallTimeout
-	}
-	if cfg.CallbackTimeout == 0 {
-		cfg.CallbackTimeout = cfg.CallTimeout / 4
 	}
 	ep := &Endpoint{
 		k:          net.Kernel(),
@@ -590,12 +583,13 @@ func (c *SimConn) Close() {
 }
 
 // CallBack places a call from the server back to the client on an accepted
-// connection (callback breaking): one attempt, bounded by CallbackTimeout.
-// The call rides the worker's ambient serve span, so the break appears in
-// the same distributed trace as the mutation that caused it. It implements
-// Backchannel.
+// connection (callback breaking): one attempt, bounded by a quarter of
+// CallTimeout — a dead cache holder must not stall a mutation for the
+// caller's full call deadline. The call rides the worker's ambient serve
+// span, so the break appears in the same distributed trace as the mutation
+// that caused it. It implements Backchannel.
 func (ic *inConn) CallBack(p *sim.Proc, req Request) (Response, error) {
-	return ic.invoke(p, req, 1, ic.ep.cfg.CallbackTimeout)
+	return ic.invoke(p, req, 1, ic.ep.cfg.CallTimeout/4)
 }
 
 // CallBack on an outbound connection is an ordinary call: the client side of

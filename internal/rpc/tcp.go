@@ -27,10 +27,10 @@ const maxHandshakeFrame = 4 << 10
 // variable only so tests can shorten it.
 var handshakeTimeout = 10 * time.Second
 
-// backTimeout bounds a server-to-client call on an accepted Peer, like the
-// netsim default CallbackTimeout: a stalled cache holder must not block
-// every writer to the files it caches. A variable only so tests can
-// shorten it.
+// backTimeout bounds a server-to-client call on an accepted Peer, like a
+// simulated endpoint's callback bound of a quarter of its call timeout: a
+// stalled cache holder must not block every writer to the files it caches.
+// A variable only so tests can shorten it.
 var backTimeout = defaultCallTimeout / 4
 
 // Peer is an authenticated, encrypted, full-duplex RPC connection over a

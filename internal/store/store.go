@@ -6,14 +6,12 @@
 // changed — the volume header plus the metadata records and file contents of
 // the touched vnodes, split into separate fields so an engine can route
 // small metadata records and large data blobs differently (the classic
-// metadata/blocks layering of log-structured file stores). An engine makes
-// the commit durable however it likes:
-//
-//   - memstore keeps shadow volumes in memory. It verifies the commit
-//     protocol without touching disk, and is what the deterministic
-//     simulator uses — no clocks, no fsync, no perturbation.
-//   - walstore appends each commit to a checksummed write-ahead log with
-//     group-commit fsync and periodic checkpoints, and recovers by replay.
+// metadata/blocks layering of log-structured file stores). The engine,
+// walstore, appends each commit to a checksummed write-ahead log with
+// group-commit fsync and periodic checkpoints, and recovers by replay. It
+// runs over an FS: DirFS for real files, MemFS when nothing should touch
+// disk, as under the deterministic simulator (no clocks, no fsync, no
+// perturbation), and FaultFS for crash injection.
 //
 // Location-database and protection-database changes flow through the same
 // store (PutLoc/PutProt) so a server restart loses neither.
@@ -116,7 +114,7 @@ func CommitOf(v *volume.Volume) Commit {
 	return c
 }
 
-// ApplyCommit replays a commit onto v (recovery and shadow maintenance).
+// ApplyCommit replays a commit onto v during recovery.
 func ApplyCommit(v *volume.Volume, c Commit) error {
 	if c.Vol != v.ID() {
 		return fmt.Errorf("store: commit for volume %d applied to %d", c.Vol, v.ID())

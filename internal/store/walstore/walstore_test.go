@@ -92,6 +92,28 @@ func TestWALPersistAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestWALDropVolumeSurvivesReopen: a dropped volume stays dropped through
+// replay, and the volumes beside it are untouched.
+func TestWALDropVolumeSurvivesReopen(t *testing.T) {
+	fsys := store.NewMemFS()
+	s, _ := open(t, fsys)
+	for _, id := range []uint32{1, 2} {
+		if err := s.BeginVolume(id, newVol(t, id).Serialize()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.DropVolume(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := open(t, fsys)
+	if len(rec.Volumes) != 1 || rec.Volumes[0].ID() != 2 {
+		t.Fatalf("recovered %d volumes, want only volume 2", len(rec.Volumes))
+	}
+}
+
 func TestWALCheckpointCompacts(t *testing.T) {
 	fsys := store.NewMemFS()
 	s1, _ := open(t, fsys)

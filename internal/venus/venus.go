@@ -76,7 +76,6 @@ type Config struct {
 	Mode       vice.Mode
 	Machine    string // workstation name, for diagnostics
 	Local      *unixfs.FS
-	CacheDir   string // directory in Local holding cached copies
 	MaxFiles   int    // prototype cache limit (entry count)
 	MaxBytes   int64  // revised cache limit (bytes)
 	HomeServer string // this cluster's server, asked first for locations
@@ -187,18 +186,18 @@ type Venus struct {
 	mStoreLat  *trace.Histogram
 }
 
+// cacheDir is the directory in Config.Local holding cached copies.
+const cacheDir = "/cache"
+
 // New creates a Venus. Call Login before any file operation.
 func New(cfg Config) *Venus {
-	if cfg.CacheDir == "" {
-		cfg.CacheDir = "/cache"
-	}
 	if cfg.MaxFiles == 0 {
 		cfg.MaxFiles = 200 // the prototype's count limit
 	}
 	if cfg.MaxBytes == 0 {
 		cfg.MaxBytes = 20 << 20 // a 1980s workstation disk partition
 	}
-	_ = cfg.Local.MkdirAll(cfg.CacheDir, 0o700, "venus")
+	_ = cfg.Local.MkdirAll(cacheDir, 0o700, "venus")
 	return &Venus{
 		cfg:        cfg,
 		conns:      make(map[string]Conn),
@@ -665,10 +664,10 @@ func (v *Venus) installEntry(path string, st proto.Status, data []byte, now sim.
 	}
 	if e == nil {
 		v.nextID++
-		e = &entry{cacheFile: fmt.Sprintf("%s/c%d", v.cfg.CacheDir, v.nextID)}
+		e = &entry{cacheFile: fmt.Sprintf("%s/c%d", cacheDir, v.nextID)}
 	} else if e.cacheFile == "" {
 		v.nextID++
-		e.cacheFile = fmt.Sprintf("%s/c%d", v.cfg.CacheDir, v.nextID)
+		e.cacheFile = fmt.Sprintf("%s/c%d", cacheDir, v.nextID)
 	} else {
 		v.bytes -= e.status.Size
 	}

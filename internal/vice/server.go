@@ -39,6 +39,18 @@ func (m Mode) String() string {
 	return "revised"
 }
 
+// ParseMode reads a mode name as String prints it. Any other name is an
+// error, so a mistyped flag cannot silently select a mode.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "prototype":
+		return Prototype, nil
+	case "revised":
+		return Revised, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want prototype or revised)", s)
+}
+
 // ServerUser is the identity servers use with each other. It is inside the
 // boundary of trustworthiness: requests authenticated as ServerUser bypass
 // access lists.
@@ -66,8 +78,6 @@ type Config struct {
 	ProtAuthority bool
 	// AllocVolID issues cell-wide unique volume IDs.
 	AllocVolID func() uint32
-	// MaxWalkDepth bounds symlink-following during server-side walks.
-	MaxWalkDepth int
 	// Metrics, when set, receives server-side counters and per-volume
 	// service-time histograms (lock conflicts, callback fan-out,
 	// vice.vol.<id>.latency, vice.vol.<id>.ops). Nil disables all of it.
@@ -143,9 +153,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return 0 }
-	}
-	if cfg.MaxWalkDepth == 0 {
-		cfg.MaxWalkDepth = 16
 	}
 	if cfg.Loc == nil {
 		cfg.Loc = NewLocDB()
@@ -422,8 +429,11 @@ func (s *Server) resolvePath(path string, followLast bool) (*volume.Volume, prot
 	return s.walkPath(path, followLast, 0)
 }
 
+// maxWalkDepth bounds symlink-following during server-side walks.
+const maxWalkDepth = 16
+
 func (s *Server) walkPath(path string, followLast bool, depth int) (*volume.Volume, proto.FID, error) {
-	if depth > s.cfg.MaxWalkDepth {
+	if depth > maxWalkDepth {
 		return nil, proto.FID{}, fmt.Errorf("%w: %s", proto.ErrLoop, path)
 	}
 	if path == "" || path[0] != '/' {

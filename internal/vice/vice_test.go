@@ -756,3 +756,20 @@ func TestUnlockWithoutHold(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestParseMode: both printed mode names round-trip, and anything else —
+// a typo, a different case, the empty string — is an error rather than a
+// silent fallback to one of the modes.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Prototype, Revised} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"protoype", "Revised", ""} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) accepted an unknown mode", bad)
+		}
+	}
+}

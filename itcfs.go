@@ -83,13 +83,9 @@ const (
 // CellConfig sizes a cell.
 type CellConfig struct {
 	Mode     Mode
-	Clusters int // one cluster server per cluster
-	// Workstations initially added per cluster (more can be added later).
-	WorkstationsPerCluster int
-	Net                    netsim.Config // zero value = ITCDefaults
-	Costs                  *CostConfig   // nil = DefaultCosts
-	// CacheFiles / CacheBytes override Venus cache limits (0 = defaults).
-	CacheFiles int
+	Clusters int         // one cluster server per cluster
+	Costs    *CostConfig // nil = DefaultCosts
+	// CacheBytes overrides the Venus cache byte limit (0 = the default).
 	CacheBytes int64
 	// OperatorPassword sets the bootstrap operations account ("operator").
 	OperatorPassword string
@@ -128,20 +124,12 @@ type CellConfig struct {
 	// the network and Vice, in virtual time: identical seeds yield
 	// byte-identical exported traces. Read them from Cell.Tracer.
 	Trace bool
-	// TraceSample keeps every nth root operation when tracing (0 or 1 =
-	// keep all). Sampling decides per operation, so a kept operation is
-	// always complete.
-	TraceSample int
-	// TracePolicy, when set, replaces TraceSample with the full deterministic
-	// sampling policy: seeded per-op-class rates and slow always-keep
-	// thresholds (see trace.SamplePolicy). Ignored unless Trace is set.
+	// TracePolicy, when set, is the deterministic sampling policy: seeded
+	// per-op-class rates and slow always-keep thresholds (see
+	// trace.SamplePolicy). Nil keeps every root operation. Sampling decides
+	// per operation, so a kept operation is always complete. Ignored unless
+	// Trace is set.
 	TracePolicy *trace.SamplePolicy
-	// SeriesTopK bounds per-volume series cardinality in StartSampling: each
-	// sampling window only the K busiest volumes keep their own ops/latency
-	// series, the rest fold into a "vice.vol.other.*" series. 0 = the default
-	// budget (trace.DefaultSeriesTopK); negative = unbounded (the pre-collapse
-	// behaviour).
-	SeriesTopK int
 	// Metrics, when set, receives counters and histograms from every layer
 	// (cache hits, RPC latency, link utilization, per-volume service time).
 	Metrics *trace.Registry
@@ -154,9 +142,9 @@ type CellConfig struct {
 	// Store, when set, supplies a durable store per server (argument is the
 	// server index; return nil for volatile). The default — nil everywhere —
 	// keeps volumes in memory, exactly the pre-durability behaviour; attach
-	// memstore.New() to journal through the store without touching disk, or
-	// a walstore for real files. The simulator's determinism is unaffected
-	// either way (see TestStoreDeterminism).
+	// a walstore, over store.NewMemFS() to journal without touching disk or
+	// over store.DirFS for real files. The simulator's determinism is
+	// unaffected either way (see TestStoreDeterminism).
 	Store func(server int) store.Store
 
 	// Blocks, when set, is a cell-wide content-addressed block index: every
@@ -226,9 +214,6 @@ func NewCell(cfg CellConfig) *Cell {
 	if cfg.Clusters <= 0 {
 		cfg.Clusters = 1
 	}
-	if cfg.Net.ClusterBandwidth == 0 {
-		cfg.Net = netsim.ITCDefaults()
-	}
 	if cfg.OperatorPassword == "" {
 		cfg.OperatorPassword = "operator-password"
 	}
@@ -239,7 +224,7 @@ func NewCell(cfg CellConfig) *Cell {
 	k := sim.NewKernel()
 	c := &Cell{
 		Kernel:  k,
-		Net:     netsim.New(k, cfg.Net),
+		Net:     netsim.New(k, netsim.ITCDefaults()),
 		Mode:    cfg.Mode,
 		cfg:     cfg,
 		costs:   costs,
@@ -249,8 +234,6 @@ func NewCell(cfg CellConfig) *Cell {
 		c.Tracer = trace.New(func() sim.Time { return k.Now() })
 		if cfg.TracePolicy != nil {
 			c.Tracer.SetPolicy(*cfg.TracePolicy)
-		} else {
-			c.Tracer.SetSample(cfg.TraceSample)
 		}
 	}
 	c.Metrics = cfg.Metrics
@@ -356,12 +339,6 @@ func NewCell(cfg CellConfig) *Cell {
 			}
 		}
 	})
-
-	for i := 0; i < cfg.Clusters; i++ {
-		for w := 0; w < cfg.WorkstationsPerCluster; w++ {
-			c.AddWorkstation(i, fmt.Sprintf("ws%d-%d", i, w))
-		}
-	}
 	return c
 }
 
@@ -425,13 +402,11 @@ func LinkBusySeries(link string) string { return trace.LinkBusySeries(link) }
 // is also stored in Cell.Sampler.
 func (c *Cell) StartSampling(every, horizon time.Duration) *trace.Sampler {
 	s := trace.NewSampler(c.Metrics, every, 0)
-	if c.cfg.SeriesTopK >= 0 {
-		// Bound per-volume series cardinality: the registry still tracks
-		// every volume's instruments, but only the top-K per window get their
-		// own rings; the rest fold into "vice.vol.other.*".
-		s.Collapse("vice.vol.", ".ops", c.cfg.SeriesTopK)
-		s.Collapse("vice.vol.", ".latency", c.cfg.SeriesTopK)
-	}
+	// Bound per-volume series cardinality: the registry still tracks every
+	// volume's instruments, but only the top-K per window get their own
+	// rings; the rest fold into "vice.vol.other.*".
+	s.Collapse("vice.vol.", ".ops", trace.DefaultSeriesTopK)
+	s.Collapse("vice.vol.", ".latency", trace.DefaultSeriesTopK)
 	if c.Tracer != nil {
 		s.AttachExemplars(c.Tracer.TakeExemplars)
 	}
@@ -509,7 +484,6 @@ func (c *Cell) AddWorkstation(cluster int, name string) *Workstation {
 		Machine:          name,
 		Local:            local,
 		HomeServer:       home.Vice.Name(),
-		MaxFiles:         c.cfg.CacheFiles,
 		MaxBytes:         c.cfg.CacheBytes,
 		CallbackTTL:      c.cfg.CallbackTTL,
 		ReconnectRetries: c.cfg.ReconnectRetries,

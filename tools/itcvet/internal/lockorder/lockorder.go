@@ -329,8 +329,8 @@ type analysis struct {
 	decls   map[*types.Func]*ast.FuncDecl
 	sums    map[*types.Func]*summary
 
-	edges    map[[2]Key]Edge     // deduplicated, least witness
-	edgePos  map[Edge]token.Pos  // report position for cycle diagnostics
+	edges    map[[2]Key]Edge    // deduplicated, least witness
+	edgePos  map[Edge]token.Pos // report position for cycle diagnostics
 	blocking []blockFinding
 }
 
