@@ -118,6 +118,9 @@ rm -rf "$bindir"
 # trace path and the striped-counter hot path must not allocate (these also
 # run inside `go test ./...` above).
 go test -run='^Test(SampledOutPathAllocFree|StripedCounterAllocFree|DisabledPathsAllocFree)$' -count=1 ./internal/trace
+# Opening a sealed record allocates its plaintext and CTR stream only; the
+# MAC tag lives in the pooled HMAC state.
+go test -run='^TestBoxOpenAllocs$' -count=1 ./internal/secure
 
 # Sim-kernel micro-benchmarks, one short pass each: keeps the park/resume,
 # mailbox and timetable benches building and running. The zero-alloc gates

@@ -109,7 +109,15 @@ type Box struct {
 	macKey      []byte
 	noncePrefix [8]byte
 	nonceCtr    atomic.Uint64
-	macs        sync.Pool // *hash.Hash (HMAC-SHA256 keyed by macKey)
+	macs        sync.Pool // *macState
+}
+
+// macState is one pooled HMAC-SHA256 state keyed by the Box's macKey, with
+// scratch for the tag it computes. hash.Hash.Sum is an interface call, so a
+// tag buffer on the caller's stack would escape to the heap on every Open.
+type macState struct {
+	h   hash.Hash
+	tag [tagSize]byte
 }
 
 // NewBox returns a Box keyed by k.
@@ -123,8 +131,7 @@ func NewBox(k Key) *Box {
 		panic(fmt.Sprintf("secure: nonce prefix: %v", err))
 	}
 	b.macs.New = func() any {
-		m := hmac.New(sha256.New, b.macKey)
-		return &m
+		return &macState{h: hmac.New(sha256.New, b.macKey)}
 	}
 	return b
 }
@@ -138,16 +145,14 @@ func (b *Box) ctrXOR(nonce, dst, src []byte) {
 	cipher.NewCTR(b.block, nonce).XORKeyStream(dst, src)
 }
 
-// mac computes HMAC(macKey, body) into out (which must have tagSize spare
-// capacity) using a pooled state.
-func (b *Box) mac(body, out []byte) []byte {
-	mp := b.macs.Get().(*hash.Hash)
-	m := *mp
-	m.Reset()
-	m.Write(body)
-	out = m.Sum(out)
-	b.macs.Put(mp)
-	return out
+// mac computes HMAC(macKey, body) into the tag of a pooled state, which
+// the caller returns to b.macs once it has read the tag.
+func (b *Box) mac(body []byte) *macState {
+	ms := b.macs.Get().(*macState)
+	ms.h.Reset()
+	ms.h.Write(body)
+	ms.h.Sum(ms.tag[:0])
+	return ms
 }
 
 // Seal encrypts and authenticates plain, returning nonce||ct||tag.
@@ -162,7 +167,10 @@ func (b *Box) Seal(plain []byte) []byte {
 	binary.BigEndian.PutUint32(nonce[8:12], uint32(ctr))
 	ct := out[nonceSize:]
 	b.ctrXOR(nonce, ct, plain)
-	return b.mac(out, out)
+	ms := b.mac(out)
+	out = append(out, ms.tag[:]...)
+	b.macs.Put(ms)
+	return out
 }
 
 // Open authenticates and decrypts a record produced by Seal.
@@ -172,8 +180,10 @@ func (b *Box) Open(sealed []byte) ([]byte, error) {
 	}
 	body := sealed[:len(sealed)-tagSize]
 	tag := sealed[len(sealed)-tagSize:]
-	var sum [tagSize]byte
-	if subtle.ConstantTimeCompare(b.mac(body, sum[:0]), tag) != 1 {
+	ms := b.mac(body)
+	ok := subtle.ConstantTimeCompare(ms.tag[:], tag) == 1
+	b.macs.Put(ms)
+	if !ok {
 		return nil, ErrBadSeal
 	}
 	nonce := body[:nonceSize]

@@ -51,6 +51,25 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// Open allocates the plaintext and the CTR stream state, nothing more: the
+// MAC tag is computed into the pooled state's scratch, not a stack buffer
+// that escapes through hash.Hash.Sum.
+func TestBoxOpenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	box := NewBox(DeriveKey("u", "p"))
+	sealed := box.Seal(bytes.Repeat([]byte("vice"), 256))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := box.Open(sealed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Open allocates %.0f times per record, want <= 2", allocs)
+	}
+}
+
 func TestSealNoncesDiffer(t *testing.T) {
 	box := NewBox(DeriveKey("u", "p"))
 	a := box.Seal([]byte("same plaintext"))
