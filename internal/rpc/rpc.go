@@ -6,16 +6,18 @@
 //
 // One session core (session.go) is the connection: the session box, the
 // authenticated user, the seq counter and pending table, reply resolution,
-// the served-call body (span, dispatch, service time, serve-latency metric,
-// a fused seal of the reply) and failing calls on close. The client side of
-// the handshake is shared too. Sessions are full duplex: either side may
-// place calls and serve them, which is how Vice breaks callbacks to Venus.
+// the served-call body (span, dispatch, service time, serve-latency metric),
+// a fused encode-and-seal of calls and replies, and failing calls on close.
+// The client side of the handshake is shared too. Sessions are full duplex:
+// either side may place calls and serve them, which is how Vice breaks
+// callbacks to Venus.
 // Two thin carriers move a session's sealed packets:
 //
 //   - The netsim carrier (sim.go: Endpoint, SimConn) runs over the simulated
 //     campus network in virtual time, which can lose and duplicate frames.
 //     So it alone keeps retransmission with backoff, the at-most-once reply
-//     cache, retransmission-tolerant server handshake steps, per-call worker
+//     cache (which keeps dispatched replies and re-seals each replay),
+//     retransmission-tolerant server handshake steps, per-call worker
 //     processes and cost-model charging. The evaluation harness uses it.
 //   - The stream carrier (tcp.go: Peer) runs over any io.ReadWriteCloser,
 //     typically TCP, which never duplicates a frame. It keeps framed writes,
@@ -51,6 +53,11 @@ type Request struct {
 // Response is the result of a call. Code 0 is success; other codes are
 // service-level errors defined by the application protocol. Transport-level
 // failures are reported as Go errors, never as codes.
+//
+// A served Response must not alias memory its handler later reuses or
+// mutates: the netsim carrier keeps it in the at-most-once reply cache and
+// seals it again for every retransmitted call. Fresh buffers and slices that
+// are replaced rather than written in place (a vnode's data) are safe.
 type Response struct {
 	Code uint16
 	Body []byte
@@ -110,7 +117,9 @@ type Backchannel interface {
 	BackUser() string
 }
 
-// HandlerFunc serves one call.
+// HandlerFunc serves one call. The Response it returns may be kept and
+// resent after it returns (see Response), so it must not alias a buffer
+// the handler reuses.
 type HandlerFunc func(ctx Ctx, req Request) Response
 
 // Server dispatches incoming calls by opcode. It is safe for concurrent use

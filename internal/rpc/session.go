@@ -189,11 +189,13 @@ func (s *session) resolve(plain []byte, pk *pkt) bool {
 }
 
 // serve is the served-call body of both carriers: server span, dispatch,
-// service time, the serve-latency metric, and the reply sealed in one
-// pass. On the netsim carrier p is the worker process, time is virtual and
-// the endpoint's cost model charges the call before service time is read,
-// so the reply echoes the whole interval the server held it.
-func (s *session) serve(p *sim.Proc, back Backchannel, seq uint32, tc wire.TraceHeader, req Request) []byte {
+// service time and the serve-latency metric. It returns the response and
+// the service time for the carrier to seal with sealReply (the netsim
+// carrier also keeps both for replays). On the netsim carrier p is the
+// worker process, time is virtual and the endpoint's cost model charges the
+// call before service time is read, so the reply echoes the whole interval
+// the server held it.
+func (s *session) serve(p *sim.Proc, back Backchannel, tc wire.TraceHeader, req Request) (Response, time.Duration) {
 	h := s.host
 	started := clock(p)
 	var sp *trace.Span
@@ -217,7 +219,7 @@ func (s *session) serve(p *sim.Proc, back Backchannel, seq uint32, tc wire.Trace
 	}
 	h.serveLat.Load().Observe(svc)
 	sp.End()
-	return s.sealReply(seq, svc, resp)
+	return resp, svc
 }
 
 // close ends the session, reporting whether this call did. A non-nil err

@@ -230,7 +230,8 @@ func (p *Peer) readLoop() {
 				return
 			}
 			go func() {
-				_ = p.write(p.serve(nil, p, seq, tc, req)) // a write failure kills the readLoop shortly
+				resp, svc := p.serve(nil, p, tc, req)
+				_ = p.write(p.sealReply(seq, svc, resp)) // a write failure kills the readLoop shortly
 			}()
 		case kindReply:
 			if !p.resolve(plain, nil) {
